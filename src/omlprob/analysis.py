@@ -51,57 +51,61 @@ def _named(sys: LinSystem, point) -> dict:
     return {v: x for v, x in zip(sys.vars, point)}
 
 
-def _search_max(sys: LinSystem, targets, bound):
-    """Exact max of each target (a (label, coeff-dict)) over sys.
+# -- Bell-type inequalities ----------------------------------------------
 
-    Returns (worst_value, worst_label, worst_point, certificates); the
-    worst target is the first one attaining the global maximum.
+# the joint terms of each Bell target, by tuple length
+_BELL_PAIRS = {2: ((0, 1),), 3: ((0, 1), (0, 2), (2, 1))}
+
+
+def _bell_targets(l: Oml, arity: int, var):
+    """(label, coeffs) for every element tuple xs of the given length:
+    sum_i v(x_i, x_i) - sum v(x_i, x_j) over the tuple's joint terms,
+    with var(x, y) naming the variable of v(x, y).  Coefficients of a
+    variable that recurs are added up."""
+    for xs in itertools.product(l.elements, repeat=arity):
+        coeffs = {}
+        terms = ([(var(x, x), 1) for x in xs]
+                 + [(var(xs[i], xs[j]), -1) for i, j in _BELL_PAIRS[arity]])
+        for name, sign in terms:
+            coeffs[name] = coeffs.get(name, 0) + sign
+        yield ",".join(xs), coeffs
+
+
+def _bell(prop: str, l: Oml, sys: LinSystem, arity: int, var):
+    """Exact max of every Bell target over sys against the bound 1.
+
+    "implied" reports each target's maximum; "violated" reports the
+    first target attaining the global maximum and its maximizer.
     """
     worst = None
     certs = {}
-    for label, coeffs in targets:
+    for label, coeffs in _bell_targets(l, arity, var):
         val, point = maximize(sys, _coeff_vec(sys, coeffs))
         certs[label] = fmt_rat(val)
         if worst is None or val > worst[0]:
             worst = (val, label, point)
-    return worst + (certs,)
-
-
-def _verdict_from_max(prop, scope, sys, worst_val, worst_label, point, certs,
-                      bound):
-    if worst_val <= bound:
-        return PropertyVerdict(prop, scope, "implied",
-                               certificate={"max": fmt_rat(worst_val),
-                                            "bound": fmt_rat(bound),
+    val, label, point = worst
+    if val <= ONE:
+        return PropertyVerdict(prop, repr(l), "implied",
+                               certificate={"max": fmt_rat(val),
+                                            "bound": "1",
                                             "per_target_max": certs})
     return PropertyVerdict(
-        prop, scope, "violated",
-        witness={"target": worst_label, "value": fmt_rat(worst_val),
+        prop, repr(l), "violated",
+        witness={"target": label, "value": fmt_rat(val),
                  "assignment": {k: fmt_rat(v)
                                 for k, v in _named(sys, point).items()}},
-        certificate={"max": fmt_rat(worst_val), "bound": fmt_rat(bound)})
-
-
-# -- Bell-type inequalities ----------------------------------------------
+        certificate={"max": fmt_rat(val), "bound": "1"})
 
 
 def bell1_state(l: Oml) -> PropertyVerdict:
     """m(a) + m(b) - m(a^b) <= 1 over all states and all pairs."""
-    sys = state_system(l)
-    targets = [("%s,%s" % (a, b), {a: 1, b: 1, l.meet(a, b): -1})
-               for a, b in l.pairs()]
-    return _verdict_from_max("bell1-state", repr(l), sys,
-                             *_search_max(sys, targets, ONE), bound=ONE)
+    return _bell("bell1-state", l, state_system(l), 2, l.meet)
 
 
 def bell1_smap(l: Oml) -> PropertyVerdict:
     """p(a,a) + p(b,b) - p(a,b) <= 1 over the s-map polytope, all pairs."""
-    sys = smap_system(l)
-    targets = [("%s,%s" % (a, b),
-                {pair_var(a, a): 1, pair_var(b, b): 1, pair_var(a, b): -1})
-               for a, b in l.pairs()]
-    return _verdict_from_max("bell1-smap", repr(l), sys,
-                             *_search_max(sys, targets, ONE), bound=ONE)
+    return _bell("bell1-smap", l, smap_system(l), 2, pair_var)
 
 
 def _triples(l: Oml):
@@ -110,16 +114,7 @@ def _triples(l: Oml):
 
 def bell2_state(l: Oml) -> PropertyVerdict:
     """m(a)+m(b)+m(c) - m(a^b) - m(a^c) - m(c^b) <= 1, all triples."""
-    sys = state_system(l)
-    targets = []
-    for a, b, c in _triples(l):
-        coeffs = {}
-        for x, s in ((a, 1), (b, 1), (c, 1), (l.meet(a, b), -1),
-                     (l.meet(a, c), -1), (l.meet(c, b), -1)):
-            coeffs[x] = coeffs.get(x, 0) + s
-        targets.append(("%s,%s,%s" % (a, b, c), coeffs))
-    return _verdict_from_max("bell2-state", repr(l), sys,
-                             *_search_max(sys, targets, ONE), bound=ONE)
+    return _bell("bell2-state", l, state_system(l), 3, l.meet)
 
 
 def _pseudometric_constraints(sb: SystemBuilder, l: Oml):
@@ -159,23 +154,11 @@ def bell2_smap(l: Oml, require_pseudometric: bool = False) -> PropertyVerdict:
     whose derived d_p is symmetric and satisfies the triangle
     inequality; the unrestricted verdict is reported in the details.
     """
-    def run(sys, prop):
-        targets = []
-        for a, b, c in _triples(l):
-            coeffs = {}
-            for var, s in ((pair_var(a, a), 1), (pair_var(b, b), 1),
-                           (pair_var(c, c), 1), (pair_var(a, b), -1),
-                           (pair_var(a, c), -1), (pair_var(c, b), -1)):
-                coeffs[var] = coeffs.get(var, 0) + s
-            targets.append(("%s,%s,%s" % (a, b, c), coeffs))
-        return _verdict_from_max(prop, repr(l), sys,
-                                 *_search_max(sys, targets, ONE), bound=ONE)
-
-    unrestricted = run(smap_system(l), "bell2-smap")
+    unrestricted = _bell("bell2-smap", l, smap_system(l), 3, pair_var)
     if not require_pseudometric:
         return unrestricted
-    restricted = run(_smap_system_with_pseudometric(l),
-                     "bell2-smap-pseudometric")
+    restricted = _bell("bell2-smap-pseudometric", l,
+                       _smap_system_with_pseudometric(l), 3, pair_var)
     return PropertyVerdict(
         restricted.property, restricted.scope, restricted.verdict,
         witness=restricted.witness, certificate=restricted.certificate,

@@ -1,9 +1,11 @@
 """Bivariate maps on L x L: s-, j-, d- and G-map axioms, Gamma families,
 derived maps, and the identities the families satisfy.
 
-All checks are exhaustive over the finite lattice and exact.  Checkers
-return an AxiomReport carrying the first violation with both sides'
-values, so every failure is independently re-checkable.
+All checks are exhaustive over the finite lattice and exact.  Each map
+system is one table of axiom rows; the checkers and the LP systems are
+both generated from it.  Checkers return an AxiomReport carrying the
+first violated row with both sides' values, so every failure is
+independently re-checkable.
 """
 
 from __future__ import annotations
@@ -150,110 +152,104 @@ class AxiomReport:
         return self.ok
 
 
-def _report(system, checks):
-    """Run (axiom, elements, lhs, rhs) checks; report the first mismatch."""
-    for axiom, elems, lhs, rhs in checks:
+# One table per map system.  Each system has three axioms of one shape:
+# (x1) pins some values, (x2) splits M(x, y) for x _|_ y, and (x3) is
+# additivity in each argument: for a _|_ b and every c,
+#   M(a v b, c) = M(a, c) + M(b, c) - offset_row(c)
+#   M(c, a v b) = M(c, a) + M(c, b) - offset_col(c).
+# (G3)'s column identity is taken in this additive form, matching the row
+# identity and the (j3)/(d3) pattern.  Entries: the report name; the
+# labels of (x1), (x2), (x3)-row and (x3)-col; (x1) as (pair, value)
+# pins, where None marks a G1 corner; (x2)'s right side as (plus, minus)
+# pairs; (x3)'s (row, col) offsets.
+_TABLES = {
+    "s": ("s-map", ("s1", "s2", "s3", "s3"),
+          lambda l: [((l.top, l.top), ONE)],
+          lambda l, x, y: ((), ()),
+          lambda l, c: ((), ())),
+    "j": ("j-map", ("j1", "j2", "j3", "j3"),
+          lambda l: [((l.bot, l.bot), ZERO), ((l.top, l.top), ONE)],
+          lambda l, x, y: (((x, x), (y, y)), ()),
+          lambda l, c: (((c, c),), ((c, c),))),
+    "d": ("d-map", ("d1", "d2", "d3", "d3"),
+          lambda l: ([((a, a), ZERO) for a in l.elements]
+                     + [((l.top, l.bot), ONE), ((l.bot, l.top), ONE)]),
+          lambda l, x, y: (((x, l.bot), (l.bot, y)), ()),
+          lambda l, c: (((l.bot, c),), ((c, l.bot),))),
+    "g": ("G-map", ("G1", "G2", "G3-row", "G3-col"),
+          lambda l: [((x, y), None) for x in (l.bot, l.top)
+                     for y in (l.bot, l.top)],
+          lambda l, x, y: (((x, l.bot), (l.bot, y)), ((l.bot, l.bot),)),
+          lambda l, c: (((l.bot, c),), ((c, l.bot),))),
+}
+
+
+def _axiom_rows(system: str, l: Oml):
+    """The axiom rows of one system on l, in checking order.
+
+    A row (axiom, elements, pair, plus, minus, const) states
+    M(pair) = sum M(plus) - sum M(minus) + const.  Only (x1) rows have
+    a nonzero const, and they have no terms.  A G1 row has const None:
+    its corner must be 0 or 1.
+    """
+    _name, (x1, x2, row3, col3), unit, split, offset = _TABLES[system]
+    for pair, const in unit(l):
+        yield x1, pair, pair, (), (), const
+    offsets = [(c, offset(l, c)) for c in l.elements]
+    for a, b in l.orthogonal_pairs():
+        for x, y in ((a, b), (b, a)):
+            plus, minus = split(l, x, y)
+            yield x2, (x, y), (x, y), plus, minus, ZERO
+        j = l.join(a, b)
+        for c, (row_off, col_off) in offsets:
+            elems = (a, b, c)
+            yield row3, elems, (j, c), ((a, c), (b, c)), row_off, ZERO
+            yield col3, elems, (c, j), ((c, a), (c, b)), col_off, ZERO
+
+
+def check_map(system: str, M: BiMap) -> AxiomReport:
+    """Exhaustive check of axioms (x1)-(x3) of system "s", "j", "d" or "g":
+    the first axiom row whose two sides differ on M, with both values."""
+    if system not in _TABLES:
+        raise BiMapError("unknown axiom system %r" % system)
+    value = M._map.__getitem__
+    for axiom, elems, pair, plus, minus, const in _axiom_rows(system,
+                                                              M.lattice):
+        lhs = value(pair)
+        if plus:  # rows with terms have const 0
+            rhs = value(plus[0])
+            for p in plus[1:]:
+                rhs += value(p)
+            for p in minus:
+                rhs -= value(p)
+        elif const is None:  # G1: v in {0, 1}
+            lhs, rhs = lhs * (lhs - ONE), ZERO
+        else:
+            rhs = const
         if lhs != rhs:
-            return AxiomReport(system, False, Violation(axiom, elems, lhs, rhs))
-    return AxiomReport(system, True)
+            return AxiomReport(_TABLES[system][0], False,
+                               Violation(axiom, elems, lhs, rhs))
+    return AxiomReport(_TABLES[system][0], True)
 
 
 def check_s_map(P: BiMap) -> AxiomReport:
     """Exhaustive check of (s1)-(s3)."""
-    l = P.lattice
-
-    def checks():
-        yield ("s1", (l.top, l.top), P(l.top, l.top), ONE)
-        for a, b in l.orthogonal_pairs():
-            yield ("s2", (a, b), P(a, b), ZERO)
-            yield ("s2", (b, a), P(b, a), ZERO)
-            j = l.join(a, b)
-            for c in l.elements:
-                yield ("s3", (a, b, c), P(j, c), P(a, c) + P(b, c))
-                yield ("s3", (a, b, c), P(c, j), P(c, a) + P(c, b))
-
-    return _report("s-map", checks())
+    return check_map("s", P)
 
 
 def check_j_map(Q: BiMap) -> AxiomReport:
     """Exhaustive check of (j1)-(j3)."""
-    l = Q.lattice
-
-    def checks():
-        yield ("j1", (l.bot, l.bot), Q(l.bot, l.bot), ZERO)
-        yield ("j1", (l.top, l.top), Q(l.top, l.top), ONE)
-        for a, b in l.orthogonal_pairs():
-            yield ("j2", (a, b), Q(a, b), Q(a, a) + Q(b, b))
-            yield ("j2", (b, a), Q(b, a), Q(b, b) + Q(a, a))
-            j = l.join(a, b)
-            for c in l.elements:
-                yield ("j3", (a, b, c), Q(j, c),
-                       Q(a, c) + Q(b, c) - Q(c, c))
-                yield ("j3", (a, b, c), Q(c, j),
-                       Q(c, a) + Q(c, b) - Q(c, c))
-
-    return _report("j-map", checks())
+    return check_map("j", Q)
 
 
 def check_d_map(D: BiMap) -> AxiomReport:
     """Exhaustive check of (d1)-(d3)."""
-    l = D.lattice
-
-    def checks():
-        for a in l.elements:
-            yield ("d1", (a, a), D(a, a), ZERO)
-        yield ("d1", (l.top, l.bot), D(l.top, l.bot), ONE)
-        yield ("d1", (l.bot, l.top), D(l.bot, l.top), ONE)
-        for a, b in l.orthogonal_pairs():
-            yield ("d2", (a, b), D(a, b), D(a, l.bot) + D(l.bot, b))
-            yield ("d2", (b, a), D(b, a), D(b, l.bot) + D(l.bot, a))
-            j = l.join(a, b)
-            for c in l.elements:
-                yield ("d3", (a, b, c), D(j, c),
-                       D(a, c) + D(b, c) - D(l.bot, c))
-                yield ("d3", (a, b, c), D(c, j),
-                       D(c, a) + D(c, b) - D(c, l.bot))
-
-    return _report("d-map", checks())
+    return check_map("d", D)
 
 
 def check_g_map(G: BiMap) -> AxiomReport:
-    """Exhaustive check of (G1)-(G3).
-
-    (G3)'s column identity is checked in the additive form
-    G(c, a v b) = G(c, a) + G(c, b) - G(c, 0), matching the row identity
-    and the (j3)/(d3) pattern.
-    """
-    l = G.lattice
-
-    def checks():
-        for a in (l.bot, l.top):
-            for b in (l.bot, l.top):
-                v = G(a, b)
-                yield ("G1", (a, b), v * (v - ONE), ZERO)  # v in {0, 1}
-        for a, b in l.orthogonal_pairs():
-            for (x, y) in ((a, b), (b, a)):
-                yield ("G2", (x, y), G(x, y),
-                       G(x, l.bot) + G(l.bot, y) - G(l.bot, l.bot))
-            j = l.join(a, b)
-            for c in l.elements:
-                yield ("G3-row", (a, b, c), G(j, c),
-                       G(a, c) + G(b, c) - G(l.bot, c))
-                yield ("G3-col", (a, b, c), G(c, j),
-                       G(c, a) + G(c, b) - G(c, l.bot))
-
-    return _report("G-map", checks())
-
-
-_CHECKERS = {"s": check_s_map, "j": check_j_map, "d": check_d_map,
-             "g": check_g_map}
-
-
-def check_map(system: str, M: BiMap) -> AxiomReport:
-    try:
-        return _CHECKERS[system](M)
-    except KeyError:
-        raise BiMapError("unknown axiom system %r" % system) from None
+    """Exhaustive check of (G1)-(G3)."""
+    return check_map("g", G)
 
 
 # -- Gamma families ------------------------------------------------------
@@ -389,6 +385,7 @@ class IdentityReport:
 
 
 def _identity_report(name, checks):
+    """Run (label, elements, lhs, rhs) checks; report the first mismatch."""
     for label, elems, lhs, rhs in checks:
         if lhs != rhs:
             return IdentityReport(name, False, Violation(label, elems, lhs, rhs))
@@ -520,79 +517,38 @@ def pair_var(a: str, b: str) -> str:
     return "%s|%s" % (a, b)
 
 
-def _bimap_builder(l: Oml) -> SystemBuilder:
+def _system(system: str, l: Oml, corners=()) -> LinSystem:
+    """The unit box on every pair variable, then the system's axiom rows
+    as equalities, stably grouped by axiom number.  G1 rows pin the
+    corners, in order, to the given values."""
     sb = SystemBuilder([pair_var(a, b) for a, b in l.pairs()])
     for a, b in l.pairs():
         sb.add_box(pair_var(a, b))
-    return sb
-
-
-def _add_row_col_additivity(sb, l, offset_fn):
-    """(x3)-style constraints: for a _|_ b and all c,
-    M(a v b, c) = M(a, c) + M(b, c) - offset_row(c) and symmetrically;
-    offset_fn(c) yields (row offset var or None, col offset var or None).
-    """
-    for a, b in l.orthogonal_pairs():
-        j = l.join(a, b)
-        for c in l.elements:
-            row_off, col_off = offset_fn(c)
-            coeffs = {pair_var(j, c): Fraction(1)}
-            for var, sign in ((pair_var(a, c), -1), (pair_var(b, c), -1)):
-                coeffs[var] = coeffs.get(var, ZERO) + sign
-            if row_off:
-                coeffs[row_off] = coeffs.get(row_off, ZERO) + 1
-            sb.add_eq(coeffs, 0)
-            coeffs = {pair_var(c, j): Fraction(1)}
-            for var, sign in ((pair_var(c, a), -1), (pair_var(c, b), -1)):
-                coeffs[var] = coeffs.get(var, ZERO) + sign
-            if col_off:
-                coeffs[col_off] = coeffs.get(col_off, ZERO) + 1
-            sb.add_eq(coeffs, 0)
+    pins = iter(corners)
+    # row[0][1] is the axiom number: "s3", "G3-row" -> "3"
+    rows = sorted(_axiom_rows(system, l), key=lambda row: row[0][1])
+    for _axiom, _elems, pair, plus, minus, const in rows:
+        coeffs = {pair_var(*pair): 1}
+        for p, sign in [(p, -1) for p in plus] + [(p, 1) for p in minus]:
+            var = pair_var(*p)
+            coeffs[var] = coeffs.get(var, 0) + sign
+        sb.add_eq(coeffs, next(pins) if const is None else const)
+    return sb.build()
 
 
 def smap_system(l: Oml) -> LinSystem:
     """(s1)-(s3) as linear constraints over all |L|^2 pair variables."""
-    sb = _bimap_builder(l)
-    sb.add_eq({pair_var(l.top, l.top): 1}, 1)
-    for a, b in l.orthogonal_pairs():
-        sb.add_eq({pair_var(a, b): 1}, 0)
-        sb.add_eq({pair_var(b, a): 1}, 0)
-    _add_row_col_additivity(sb, l, lambda c: (None, None))
-    return sb.build()
+    return _system("s", l)
 
 
 def jmap_system(l: Oml) -> LinSystem:
     """(j1)-(j3) as linear constraints."""
-    sb = _bimap_builder(l)
-    sb.add_eq({pair_var(l.bot, l.bot): 1}, 0)
-    sb.add_eq({pair_var(l.top, l.top): 1}, 1)
-    for a, b in l.orthogonal_pairs():
-        for x, y in ((a, b), (b, a)):
-            coeffs = {pair_var(x, y): Fraction(1)}
-            for var in (pair_var(x, x), pair_var(y, y)):
-                coeffs[var] = coeffs.get(var, ZERO) - 1
-            sb.add_eq(coeffs, 0)
-    _add_row_col_additivity(sb, l,
-                            lambda c: (pair_var(c, c), pair_var(c, c)))
-    return sb.build()
+    return _system("j", l)
 
 
 def dmap_system(l: Oml) -> LinSystem:
     """(d1)-(d3) as linear constraints."""
-    sb = _bimap_builder(l)
-    for a in l.elements:
-        sb.add_eq({pair_var(a, a): 1}, 0)
-    sb.add_eq({pair_var(l.top, l.bot): 1}, 1)
-    sb.add_eq({pair_var(l.bot, l.top): 1}, 1)
-    for a, b in l.orthogonal_pairs():
-        for x, y in ((a, b), (b, a)):
-            coeffs = {pair_var(x, y): Fraction(1)}
-            for var in (pair_var(x, l.bot), pair_var(l.bot, y)):
-                coeffs[var] = coeffs.get(var, ZERO) - 1
-            sb.add_eq(coeffs, 0)
-    _add_row_col_additivity(
-        sb, l, lambda c: (pair_var(l.bot, c), pair_var(c, l.bot)))
-    return sb.build()
+    return _system("d", l)
 
 
 def gmap_system(l: Oml, corners) -> LinSystem:
@@ -603,19 +559,4 @@ def gmap_system(l: Oml, corners) -> LinSystem:
     corners = tuple(int(v) for v in corners)
     if len(corners) != 4 or any(v not in (0, 1) for v in corners):
         raise InvalidCorners("corners must be four values in {0, 1}")
-    sb = _bimap_builder(l)
-    corner_pairs = ((l.bot, l.bot), (l.bot, l.top),
-                    (l.top, l.bot), (l.top, l.top))
-    for (x, y), v in zip(corner_pairs, corners):
-        sb.add_eq({pair_var(x, y): 1}, v)
-    for a, b in l.orthogonal_pairs():
-        for x, y in ((a, b), (b, a)):
-            coeffs = {pair_var(x, y): Fraction(1)}
-            for var, sign in ((pair_var(x, l.bot), -1),
-                              (pair_var(l.bot, y), -1),
-                              (pair_var(l.bot, l.bot), 1)):
-                coeffs[var] = coeffs.get(var, ZERO) + sign
-            sb.add_eq(coeffs, 0)
-    _add_row_col_additivity(
-        sb, l, lambda c: (pair_var(l.bot, c), pair_var(c, l.bot)))
-    return sb.build()
+    return _system("g", l, corners)

@@ -317,9 +317,18 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors already; normalize others
         return USAGE if e.code not in (0,) else 0
     try:
+        lattice.max_elements()
+    except ValueError as e:
+        return _die("bad OMLPROB_MAX_ELEMENTS: %s" % e)
+    try:
         return args.fn(args)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else USAGE
+    except lattice.LatticeError as e:
+        print("error: invalid lattice: %s" % e, file=sys.stderr)
+        return FOUND
+    except CapExceeded as e:
+        return _die("%s; raise --cap" % e)
 
 
 if __name__ == "__main__":

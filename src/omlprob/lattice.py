@@ -266,7 +266,11 @@ def validate_oml(candidate: dict) -> Oml:
 
     pairs = []
     for pair in raw_rel:
-        a, b = pair
+        try:
+            a, b = pair
+        except (TypeError, ValueError):
+            raise NotALattice("order pair %r is not an [x, y] pair"
+                              % (pair,)) from None
         if a not in elem_set or b not in elem_set:
             raise NotALattice("order pair %r mentions unknown element"
                               % (list(pair),))

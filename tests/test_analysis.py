@@ -49,6 +49,15 @@ def test_bell1_smap_implied_everywhere(mo2, mo3, b3):
         assert v.certificate["bound"] == "1"
 
 
+def test_bell1_diagonal_targets(b2):
+    # the target at (x, x) is m(x) + m(x) - m(x) = m(x), whose max over
+    # 2^2 is 1 for every x but 0; the coefficient of a repeated term adds
+    for v in (bell1_state(b2), bell1_smap(b2)):
+        per_target = v.certificate["per_target_max"]
+        assert {x: per_target["%s,%s" % (x, x)] for x in b2.elements} == {
+            "0": "0", "a": "1", "b": "1", "1": "1"}
+
+
 def test_bell2_state_mo3_violated(mo3):
     v = bell2_state(mo3)
     assert v.verdict == "violated"

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from fractions import Fraction
 
@@ -40,6 +41,7 @@ from omlprob.bimaps import (
     verify_lemma_komp,
 )
 from omlprob.linear import enumerate_vertices, satisfies
+from omlprob.rational import fmt_rat
 from omlprob.states import validate_state
 
 F = Fraction
@@ -352,3 +354,172 @@ def test_table3_complement_is_gamma11(r1, r2, u1, u2):
 
 def test_pair_var_format():
     assert pair_var("a", "b'") == "a|b'"
+
+
+# -- one row table: LP rows and first violations are pinned -------------
+
+
+def system_digest(sys):
+    """sha256 prefix of the variables and of every row, in order."""
+    h = hashlib.sha256(repr(sys.vars).encode())
+    for kind, rows in (("=", sys.eqs), ("<=", sys.ineqs)):
+        for coeffs, rhs in rows:
+            h.update(("%s %s %s\n" % (" ".join(map(str, coeffs)), kind, rhs))
+                     .encode())
+    return h.hexdigest()[:16]
+
+
+SYSTEMS = {
+    "s": smap_system,
+    "j": jmap_system,
+    "d": dmap_system,
+    "g0011": lambda l: gmap_system(l, (0, 0, 1, 1)),
+    "g0001": lambda l: gmap_system(l, (0, 0, 0, 1)),
+}
+
+# the rows each system had when checkers and LP systems were written
+# separately; any change to a row, its order or its rhs shows here
+SYSTEM_DIGESTS = {
+    ("s", "b3"): "8473a792709edab8",
+    ("j", "b3"): "5aeeb6c7ed6a9585",
+    ("d", "b3"): "2e4bc535624d5bdb",
+    ("g0011", "b3"): "514e87544cf287e3",
+    ("g0001", "b3"): "2ca7862354b4d236",
+    ("s", "mo2"): "ebc779ea9bc57ad9",
+    ("j", "mo2"): "62b1d254e80385dd",
+    ("d", "mo2"): "817cb54899885b67",
+    ("g0011", "mo2"): "10fb31e8a492d22d",
+    ("g0001", "mo2"): "2401f0ed8984448b",
+    ("s", "mo3"): "c276f1c10b6ab361",
+    ("j", "mo3"): "a46873c22034eced",
+    ("d", "mo3"): "916828dec8c34b44",
+    ("g0011", "mo3"): "1bbda48198f278f0",
+    ("g0001", "mo3"): "21b3909df5437b84",
+    ("s", "hs3"): "2b46e77f743a1855",
+    ("j", "hs3"): "af0f421dfad7ea76",
+    ("d", "hs3"): "e2c047c3a2f6f80e",
+    ("g0011", "hs3"): "e6e46349b4404028",
+    ("g0001", "hs3"): "a011f70404e3fb5a",
+}
+
+
+@pytest.mark.parametrize("system,lname", sorted(SYSTEM_DIGESTS))
+def test_system_rows_unchanged(system, lname, request):
+    l = request.getfixturevalue(lname)
+    assert system_digest(SYSTEMS[system](l)) == SYSTEM_DIGESTS[system, lname]
+
+
+def state_smap(l, m):
+    """m(a ^ b) on compatible pairs and m(a) m(b) otherwise: an s-map on
+    MO(n), and on a Boolean algebra the map m(a ^ b)."""
+    return BiMap.from_function(
+        l, lambda a, b: m[l.meet(a, b)] if l.compatible(a, b)
+        else m[a] * m[b])
+
+
+@pytest.fixture(scope="module")
+def valid_maps(mo2, b3, g9):
+    """A valid s-, j-, d- and G-map on MO(2) and on 2^3."""
+    out = {}
+    P = state_smap(mo2, {"0": F(0), "a": H, "a'": H, "b": F(1, 3),
+                         "b'": F(2, 3), "1": F(1)})
+    out["mo2"] = {"s": P, "j": derive_j_from_s(P), "d": derive_d_from_s(P),
+                  "g": g9}
+    P = boolean_smap(b3, {"a": F(1, 6), "b": F(1, 3), "c": F(1, 2)})
+    out["b3"] = {"s": P, "j": derive_j_from_s(P), "d": derive_d_from_s(P),
+                 "g": complement_map(derive_j_from_s(P))}
+    return out
+
+
+def mutate(M, a, b):
+    """M with M(a, b) moved by 1/100, staying inside [0, 1]."""
+    old = M(a, b)
+    return M.replace(a, b, old + F(1, 100) if old < 1 else old - F(1, 100))
+
+
+def first_violation(system, M):
+    v = check_map(system, M).first_violation
+    return v and (v.axiom, v.elements, fmt_rat(v.lhs), fmt_rat(v.rhs))
+
+
+# (system, lattice, mutated pair) -> (axiom, elements, lhs, rhs)
+FIRST_VIOLATIONS = {
+    ("s", "mo2", "0", "0"): ("s2", ("0", "0"), "1/100", "0"),
+    ("s", "mo2", "a", "b"): ("s3", ("a", "a'", "b"), "1/3", "103/300"),
+    ("s", "mo2", "b", "1"): ("s3", ("a", "a'", "b"), "103/300", "1/3"),
+    ("s", "mo2", "1", "0"): ("s3", ("0", "0", "1"), "1/100", "1/50"),
+    ("s", "mo2", "1", "1"): ("s1", ("1", "1"), "99/100", "1"),
+    ("j", "mo2", "0", "0"): ("j1", ("0", "0"), "1/100", "0"),
+    ("j", "mo2", "a", "b"): ("j3", ("a", "a'", "b"), "1", "101/100"),
+    ("j", "mo2", "b", "1"): ("j3", ("a", "a'", "b"), "99/100", "1"),
+    ("j", "mo2", "1", "0"): ("j3", ("0", "0", "1"), "99/100", "49/50"),
+    ("j", "mo2", "1", "1"): ("j1", ("1", "1"), "99/100", "1"),
+    ("d", "mo2", "0", "0"): ("d1", ("0", "0"), "1/100", "0"),
+    ("d", "mo2", "a", "b"): ("d3", ("a", "a'", "b"), "2/3", "203/300"),
+    ("d", "mo2", "b", "1"): ("d3", ("a", "a'", "b"), "203/300", "2/3"),
+    ("d", "mo2", "1", "0"): ("d1", ("1", "0"), "99/100", "1"),
+    ("d", "mo2", "1", "1"): ("d1", ("1", "1"), "1/100", "0"),
+    ("g", "mo2", "0", "0"): ("G1", ("0", "0"), "-99/10000", "0"),
+    ("g", "mo2", "a", "b"): ("G3-row", ("a", "a'", "b"), "1", "101/100"),
+    ("g", "mo2", "b", "1"): ("G3-col", ("a", "a'", "b"), "51/100", "1/2"),
+    ("g", "mo2", "1", "0"): ("G1", ("1", "0"), "-99/10000", "0"),
+    ("g", "mo2", "1", "1"): ("G1", ("1", "1"), "-99/10000", "0"),
+    ("s", "b3", "0", "0"): ("s2", ("0", "0"), "1/100", "0"),
+    ("s", "b3", "a", "b"): ("s2", ("a", "b"), "1/100", "0"),
+    ("s", "b3", "b", "1"): ("s3", ("a", "b", "1"), "1/2", "51/100"),
+    ("s", "b3", "1", "0"): ("s3", ("0", "0", "1"), "1/100", "1/50"),
+    ("s", "b3", "1", "1"): ("s1", ("1", "1"), "99/100", "1"),
+    ("j", "b3", "0", "0"): ("j1", ("0", "0"), "1/100", "0"),
+    ("j", "b3", "a", "b"): ("j2", ("a", "b"), "51/100", "1/2"),
+    ("j", "b3", "b", "1"): ("j3", ("a", "b", "1"), "1", "99/100"),
+    ("j", "b3", "1", "0"): ("j3", ("0", "0", "1"), "99/100", "49/50"),
+    ("j", "b3", "1", "1"): ("j1", ("1", "1"), "99/100", "1"),
+    ("d", "b3", "0", "0"): ("d1", ("0", "0"), "1/100", "0"),
+    ("d", "b3", "a", "b"): ("d2", ("a", "b"), "51/100", "1/2"),
+    ("d", "b3", "b", "1"): ("d3", ("a", "b", "1"), "1/2", "51/100"),
+    ("d", "b3", "1", "0"): ("d1", ("1", "0"), "99/100", "1"),
+    ("d", "b3", "1", "1"): ("d1", ("1", "1"), "1/100", "0"),
+    ("g", "b3", "0", "0"): ("G1", ("0", "0"), "-99/10000", "0"),
+    ("g", "b3", "a", "b"): ("G2", ("a", "b"), "51/100", "1/2"),
+    ("g", "b3", "b", "1"): ("G3-row", ("a", "b", "1"), "0", "1/100"),
+    ("g", "b3", "1", "0"): ("G1", ("1", "0"), "-99/10000", "0"),
+    ("g", "b3", "1", "1"): ("G1", ("1", "1"), "-99/10000", "0"),
+}
+
+# sha256 over the first violation of every one-entry mutation of every
+# map in valid_maps
+ALL_MUTATIONS_DIGEST = (
+    "d6638a58112fca1edd43f42c2d6ccb74d53c4ab5be91fa98716de6f9cad8be7c")
+
+
+def test_first_violations_unchanged(valid_maps, mo2, b3):
+    h = hashlib.sha256()
+    for lname, l in (("mo2", mo2), ("b3", b3)):
+        for system, M in valid_maps[lname].items():
+            assert check_map(system, M).ok, (system, lname)
+            for a, b in l.pairs():
+                got = first_violation(system, mutate(M, a, b))
+                h.update(("%s %s %s|%s %s\n" % (system, lname, a, b, got))
+                         .encode())
+                if (system, lname, a, b) in FIRST_VIOLATIONS:
+                    assert got == FIRST_VIOLATIONS[system, lname, a, b]
+    assert h.hexdigest() == ALL_MUTATIONS_DIGEST
+
+
+def system_of(system, M):
+    if system == "g":
+        return gmap_system(M.lattice, corners_of(M))
+    return SYSTEMS[system](M.lattice)
+
+
+@pytest.mark.parametrize("system", ["s", "j", "d", "g"])
+def test_checker_agrees_with_system(system, valid_maps, mo2, b3):
+    # criterion 13's agreement, for every map class: every mutation on
+    # MO(2), a fixed few on 2^3
+    for lname, sites in (("mo2", list(mo2.pairs())),
+                         ("b3", [("0", "0"), ("1", "1"), ("1", "0"),
+                                 ("a", "b"), ("b", "1")])):
+        M = valid_maps[lname][system]
+        for N in [M] + [mutate(M, a, b) for a, b in sites]:
+            assert (check_map(system, N).ok
+                    == satisfies(system_of(system, N), N.as_vector()))

@@ -18,6 +18,10 @@ def files(tmp_path_factory):
     (d / "b3.json").write_text(lattice.boolean_algebra(3).to_json())
     (d / "b2.json").write_text(lattice.boolean_algebra(2).to_json())
     (d / "hex.json").write_text(json.dumps(lattice.hexagon_candidate()))
+    (d / "list.json").write_text("[]")
+    triple = lattice.boolean_algebra(2).to_dict()
+    triple["leq"][0].append("a")
+    (d / "triple.json").write_text(json.dumps(triple))
     g9 = build_table3_family(F(1, 3), F(2, 3), 0, 1, l=mo2)
     (d / "g9.json").write_text(g9.to_json("mo2.json"))
     return d
@@ -175,3 +179,26 @@ def test_search_pseudometric(files, capsys):
 def test_usage_error_exit_code(capsys):
     assert main([]) == 2
     assert main(["no-such-verb"]) == 2
+
+
+@pytest.mark.parametrize("argv,env,code", [
+    (["property", "bell1-state", "hex.json"], None, 1),
+    (["states", "hex.json"], None, 1),
+    (["check-map", "--system", "s", "hex.json", "g9.json"], None, 1),
+    (["states", "list.json"], None, 1),
+    (["states", "triple.json"], None, 1),
+    (["check-lattice", "triple.json"], None, 1),
+    (["search", "pseudometric", "--cap", "1", "b2.json"], None, 2),
+    (["search", "pseudometric", "--cap", "0", "b2.json"], None, 2),
+    (["states", "b2.json"], "many", 2),
+], ids=["non-oml-property", "non-oml-states", "non-oml-check-map",
+        "non-object-lattice", "order-triple", "order-triple-check-lattice",
+        "cap-below-vertices", "cap-zero", "bad-max-elements"])
+def test_bad_input_exit_codes(files, capsys, monkeypatch, argv, env, code):
+    # each input once escaped main() as a traceback
+    if env is not None:
+        monkeypatch.setenv("OMLPROB_MAX_ELEMENTS", env)
+    assert main(["--json"] + [str(files / a) if a.endswith(".json") else a
+                              for a in argv]) == code
+    if code == 2:
+        assert capsys.readouterr().err.startswith("error: ")
