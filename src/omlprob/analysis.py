@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .bimaps import BiMap, pair_var, smap_system
 from .lattice import Oml
-from .linear import (LinSystem, SystemBuilder, certify_implied,
+from .linear import (Polytope, SystemBuilder, certify_implied,
                      enumerate_vertices, functional_on, maximize,
                      propagate_unit_box, with_premise, Infeasible)
 from .rational import fmt_rat
@@ -39,16 +39,15 @@ class PropertyVerdict:
         return "%s on %s: %s" % (self.property, self.scope, self.verdict)
 
 
-def _coeff_vec(sys: LinSystem, coeffs: dict):
-    index = {v: i for i, v in enumerate(sys.vars)}
+def _coeff_vec(sys: Polytope, coeffs: dict):
     vec = [ZERO] * len(sys.vars)
     for name, c in coeffs.items():
-        vec[index[name]] += Fraction(c)
+        vec[sys.index[name]] += Fraction(c)
     return vec
 
 
-def _named(sys: LinSystem, point) -> dict:
-    return {v: x for v, x in zip(sys.vars, point)}
+def _named(sys: Polytope, point) -> dict:
+    return dict(zip(sys.vars, point))
 
 
 # -- Bell-type inequalities ----------------------------------------------
@@ -71,7 +70,7 @@ def _bell_targets(l: Oml, arity: int, var):
         yield ",".join(xs), coeffs
 
 
-def _bell(prop: str, l: Oml, sys: LinSystem, arity: int, var):
+def _bell(prop: str, l: Oml, sys: Polytope, arity: int, var):
     """Exact max of every Bell target over sys against the bound 1.
 
     "implied" reports each target's maximum; "violated" reports the
@@ -138,7 +137,7 @@ def _pseudometric_constraints(sb: SystemBuilder, l: Oml):
         sb.add_ineq(coeffs, 0)
 
 
-def _smap_system_with_pseudometric(l: Oml) -> LinSystem:
+def _smap_system_with_pseudometric(l: Oml) -> Polytope:
     base = smap_system(l)
     sb = SystemBuilder(base.vars)
     sb.eqs = list(base.eqs)
@@ -171,7 +170,7 @@ def bell2_smap(l: Oml, require_pseudometric: bool = False) -> PropertyVerdict:
 # -- Jauch-Piron ---------------------------------------------------------
 
 
-def _with_premise(base: LinSystem, premise_eqs) -> LinSystem:
+def _with_premise(base: Polytope, premise_eqs) -> Polytope:
     return with_premise(base, [(_coeff_vec(base, coeffs), rhs)
                                for coeffs, rhs in premise_eqs])
 
@@ -215,7 +214,7 @@ def jauch_piron_smap(l: Oml) -> PropertyVerdict:
     certified or refuted by the LP.
     """
     base = smap_system(l)
-    index = {v: i for i, v in enumerate(base.vars)}
+    index = base.index
     for i, a in enumerate(l.elements):
         for b in l.elements[i:]:
             seed = {index[pair_var(a, a)]: ONE, index[pair_var(b, b)]: ONE}

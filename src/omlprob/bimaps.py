@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .lattice import Oml, load_lattice
-from .linear import LinSystem, SystemBuilder
+from .linear import Polytope, SystemBuilder
 from .rational import fmt_rat, parse_rat
 from .states import StateFn
 
@@ -102,10 +102,13 @@ def bimap_from_json(text: str, l: Oml) -> BiMap:
     if not isinstance(raw, dict):
         raise BiMapError("map file lacks a 'values' object")
     values = {}
+    elements = set(l.elements)
     for key, v in raw.items():
         if key.count("|") != 1:
             raise BiMapError("bad pair key %r (expected 'a|b')" % key)
         a, b = key.split("|")
+        if a not in elements or b not in elements:
+            raise BiMapError("pair key %r names no element pair" % key)
         values[(a, b)] = parse_rat(v)
     missing = [p for p in l.pairs() if p not in values]
     if missing:
@@ -517,7 +520,7 @@ def pair_var(a: str, b: str) -> str:
     return "%s|%s" % (a, b)
 
 
-def _system(system: str, l: Oml, corners=()) -> LinSystem:
+def _system(system: str, l: Oml, corners=()) -> Polytope:
     """The unit box on every pair variable, then the system's axiom rows
     as equalities, stably grouped by axiom number.  G1 rows pin the
     corners, in order, to the given values."""
@@ -536,27 +539,27 @@ def _system(system: str, l: Oml, corners=()) -> LinSystem:
     return sb.build()
 
 
-def smap_system(l: Oml) -> LinSystem:
+def smap_system(l: Oml) -> Polytope:
     """(s1)-(s3) as linear constraints over all |L|^2 pair variables."""
     return _system("s", l)
 
 
-def jmap_system(l: Oml) -> LinSystem:
+def jmap_system(l: Oml) -> Polytope:
     """(j1)-(j3) as linear constraints."""
     return _system("j", l)
 
 
-def dmap_system(l: Oml) -> LinSystem:
+def dmap_system(l: Oml) -> Polytope:
     """(d1)-(d3) as linear constraints."""
     return _system("d", l)
 
 
-def gmap_system(l: Oml, corners) -> LinSystem:
+def gmap_system(l: Oml, corners) -> Polytope:
     """(G1)-(G3) with the four corner values pinned to the given pattern.
 
     corners = (G(0,0), G(0,1), G(1,0), G(1,1)), each 0 or 1.
     """
-    corners = tuple(int(v) for v in corners)
+    corners = tuple(corners)
     if len(corners) != 4 or any(v not in (0, 1) for v in corners):
         raise InvalidCorners("corners must be four values in {0, 1}")
-    return _system("g", l, corners)
+    return _system("g", l, tuple(int(v) for v in corners))

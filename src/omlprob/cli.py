@@ -36,9 +36,11 @@ def _load_lattice(path: str) -> lattice.Oml:
 def _load_map(path: str, l: lattice.Oml) -> bimaps.BiMap:
     try:
         return bimaps.load_bimap(path, l)
-    except (OSError, json.JSONDecodeError, ValueError,
-            bimaps.BiMapError) as e:
+    except (OSError, json.JSONDecodeError, ValueError) as e:
         raise SystemExit(_die("cannot read map %s: %s" % (path, e)))
+    except bimaps.BiMapError as e:
+        print("error: invalid map %s: %s" % (path, e), file=sys.stderr)
+        raise SystemExit(FOUND)
 
 
 def _die(msg: str) -> int:
@@ -116,7 +118,8 @@ def cmd_classify_map(args) -> int:
 
 def cmd_states(args) -> int:
     l = _load_lattice(args.lattice)
-    cls = states.classify_states(l)
+    system = states.state_system(l)  # reduced once, for both questions
+    cls = states.classify_states(l, system)
     payload = {
         "classification": cls.tag,
         "dim": cls.polytope.dim,
@@ -127,7 +130,7 @@ def cmd_states(args) -> int:
     human = "%s (state-space dimension %d)" % (cls.tag, cls.polytope.dim)
     if args.vertices:
         try:
-            verts = states.state_vertices(l, args.vertices)
+            verts = states.state_vertices(l, args.vertices, system)
             payload["vertices"] = [
                 {x: fmt_rat(v) for x, v in s.values} for s in verts]
             payload["vertices_complete"] = True

@@ -254,6 +254,10 @@ def validate_oml(candidate: dict) -> Oml:
 
     if len(elements) != len(set(elements)):
         raise NotALattice("duplicate element ids")
+    for x in elements:
+        if isinstance(x, str) and "|" in x:
+            # map files and LP variables name a pair "a|b"
+            raise NotALattice("element id %r contains '|'" % x)
     if len(elements) > max_elements():
         raise NotALattice("lattice exceeds the %d-element bound"
                           % max_elements())

@@ -1,11 +1,15 @@
 """Exact rational linear feasibility, optimization, vertex enumeration.
 
 Everything runs over fractions.Fraction (arbitrary-precision, exact);
-there is no floating point anywhere.  Systems are first reduced by
-rational Gaussian elimination on the equalities, so optimization and
-vertex enumeration happen in the (usually much smaller) space of the
-remaining free directions.  Optimization is a textbook two-phase
-simplex with Bland's rule, which terminates on every input.
+there is no floating point anywhere.  A system is one immutable
+Polytope value.  On first use it is reduced, once, by rational
+Gaussian elimination on the equalities to x = x0 + N t, so
+optimization and vertex enumeration happen in the (usually much
+smaller) space t of the remaining free directions.  with_premise adds
+equalities by restricting the parent's reduction inside that t-space,
+which gives exactly the reduction a from-scratch elimination would.
+Optimization is a textbook two-phase simplex with Bland's rule, which
+terminates on every input.  The module keeps no state between calls.
 
 Intended for desk-scale instances (tens of variables); see the module
 users for the size discipline.
@@ -13,9 +17,11 @@ users for the size discipline.
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -41,59 +47,54 @@ class CapExceeded(LinearError):
         super().__init__("vertex cap exceeded (%d found)" % len(vertices))
 
 
-class _Row(tuple):
-    """A constraint row with a cached hash.
+class Polytope:
+    """Equalities and inequalities (coeff . x <= rhs) over named variables.
 
-    Rows are shared across the derived systems that premise sweeps
-    build, and plain tuples recompute their (Fraction-heavy) hash on
-    every use; caching it keeps the reduction cache cheap to key.
+    eqs and ineqs are tuples of ((coeffs...), rhs) rows in vars order,
+    and index maps each variable name to its position.  A Polytope is
+    never changed once built and compares by identity; its reduction
+    is computed on first use and kept (see reduced).
     """
 
-    def __hash__(self):
-        h = self.__dict__.get("_h")
-        if h is None:
-            h = self.__dict__["_h"] = tuple.__hash__(self)
-        return h
-
-
-def _freeze_rows(rows):
-    return tuple((row if isinstance(row, _Row) else _Row(row), rhs)
-                 for row, rhs in rows)
-
-
-@dataclass(frozen=True)
-class LinSystem:
-    """Equalities and inequalities (coeff . x <= rhs) over named variables."""
-
-    vars: tuple
-    eqs: tuple = ()    # ((coeffs...), rhs)
-    ineqs: tuple = ()  # ((coeffs...), rhs)  meaning coeff . x <= rhs
-
-    def __post_init__(self):
+    def __init__(self, vars, eqs=(), ineqs=(), *, _parent=None):
+        self.vars = tuple(vars)
+        self.eqs = tuple(eqs)
+        self.ineqs = tuple(ineqs)
         n = len(self.vars)
         for coeffs, _rhs in itertools.chain(self.eqs, self.ineqs):
             if len(coeffs) != n:
                 raise LinearError("coefficient vector length mismatch")
-        object.__setattr__(self, "eqs", _freeze_rows(self.eqs))
-        object.__setattr__(self, "ineqs", _freeze_rows(self.ineqs))
+        if _parent is None:
+            self.index = {v: i for i, v in enumerate(self.vars)}
+            if len(self.index) != n:
+                raise LinearError("duplicate variable names")
+        else:
+            self.index = _parent.index
+        self._parent = _parent
 
-    def __hash__(self):
-        # cached: systems are large and used as reduction-cache keys
-        h = getattr(self, "_hash", None)
-        if h is None:
-            h = hash((self.vars, self.eqs, self.ineqs))
-            object.__setattr__(self, "_hash", h)
-        return h
+    @functools.cached_property
+    def reduced(self):
+        """The _Reduction of the system, or None when elimination alone
+        shows it empty.  A with_premise child restricts its parent's
+        reduction by the equalities it adds."""
+        if self._parent is None:
+            return _reduce(self.eqs, self.ineqs, len(self.vars))
+        return _restrict(self._parent.reduced,
+                         self.eqs[len(self._parent.eqs):])
+
+    @functools.cached_property
+    def sparse_eqs(self):
+        """eqs with each row cut to its nonzero (index, coeff) terms."""
+        return tuple((tuple((j, c) for j, c in enumerate(coeffs) if c), rhs)
+                     for coeffs, rhs in self.eqs)
 
 
 class SystemBuilder:
-    """Accumulates constraints by variable name, then freezes a LinSystem."""
+    """Accumulates constraints by variable name, then freezes a Polytope."""
 
     def __init__(self, variables):
         self.vars = tuple(variables)
         self._index = {v: i for i, v in enumerate(self.vars)}
-        if len(self._index) != len(self.vars):
-            raise LinearError("duplicate variable names")
         self.eqs = []
         self.ineqs = []
 
@@ -114,13 +115,13 @@ class SystemBuilder:
         self.add_ineq({name: 1}, hi)
         self.add_ineq({name: -1}, -Fraction(lo))
 
-    def build(self) -> LinSystem:
-        return LinSystem(self.vars, tuple(self.eqs), tuple(self.ineqs))
+    def build(self) -> Polytope:
+        return Polytope(self.vars, self.eqs, self.ineqs)
 
 
 @dataclass(frozen=True)
 class PolyInfo:
-    """Feasibility/dimension report for a LinSystem's solution set."""
+    """Feasibility/dimension report for a Polytope's solution set."""
 
     status: str                 # "empty" | "point" | "positive-dimensional"
     dim: int                    # -1 for empty
@@ -138,7 +139,7 @@ class Certification:
     counterexample: tuple | None  # == argmax when not implied
 
 
-def satisfies(sys: LinSystem, point) -> bool:
+def satisfies(sys: Polytope, point) -> bool:
     """Exact membership test: every constraint holds with zero tolerance."""
     point = tuple(Fraction(x) for x in point)
     for coeffs, rhs in sys.eqs:
@@ -170,21 +171,22 @@ def _rref(rows):
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pv = rows[r][col]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        prow = rows[r]
+        pv = prow[col]
+        # row operations touch only the pivot row's nonzero columns
+        nz = [j for j, x in enumerate(prow) if x]
+        for j in nz:
+            prow[j] /= pv
+        for i, row in enumerate(rows):
+            f = row[col]
+            if i != r and f:
+                for j in nz:
+                    row[j] -= f * prow[j]
         pivots.append(col)
         r += 1
         if r == len(rows):
             break
     return rows[:r], pivots
-
-
-def _rank(rows) -> int:
-    return len(_rref(rows)[0])
 
 
 def solve_square(rows, rhs):
@@ -200,43 +202,30 @@ def solve_square(rows, rhs):
     return tuple(sol)
 
 
-@dataclass
-class _Reduced:
-    """Equality-eliminated form: x = x0 + N t with t-space inequalities."""
+class _Reduction(NamedTuple):
+    """Equality-eliminated form: x = x0 + N t, with the inequalities as
+    rows . t <= rhs.  basis holds the columns of N, one per free
+    variable.  Each row is scaled by the absolute value of its first
+    nonzero coefficient; parallel same-direction rows keep the tightest
+    rhs at the first one's position, and all-zero rows are dropped."""
 
-    feasible_eqs: bool
-    x0: list = field(default_factory=list)
-    basis: list = field(default_factory=list)   # columns of N
-    rows: list = field(default_factory=list)    # ineq coeffs in t-space
-    rhs: list = field(default_factory=list)
-    trivially_empty: bool = False
-
-
-def _reduce(sys: LinSystem) -> _Reduced:
-    """Equality elimination, cached: LinSystem is immutable and hashable,
-    and property searches maximize many objectives over one system."""
-    cached = _REDUCE_CACHE.get(sys)
-    if cached is None:
-        cached = _reduce_impl(sys)
-        if len(_REDUCE_CACHE) > 128:
-            _REDUCE_CACHE.clear()
-        _REDUCE_CACHE[sys] = cached
-    return cached
-
-
-_REDUCE_CACHE: dict = {}
+    x0: tuple
+    basis: tuple
+    rows: tuple
+    rhs: tuple
 
 
 def _solve_eqs(eqs, n):
     """Particular solution and nullspace basis of an equality system.
 
-    Returns (feasible, x0, basis); basis columns are in x-space.
+    Returns (x0, basis) with basis columns in x-space, or None when the
+    equalities are inconsistent.
     """
     aug = [list(coeffs) + [rhs] for coeffs, rhs in eqs]
     red, pivots = _rref(aug)
     for row in red:
         if all(x == 0 for x in row[:n]) and row[n] != 0:
-            return False, None, None
+            return None
     free = [j for j in range(n) if j not in pivots]
     x0 = [ZERO] * n
     for i, col in enumerate(pivots):
@@ -247,42 +236,90 @@ def _solve_eqs(eqs, n):
         v[f] = ONE
         for i, col in enumerate(pivots):
             v[col] = -red[i][f]
-        basis.append(v)
-    return True, x0, basis
+        basis.append(tuple(v))
+    return tuple(x0), tuple(basis)
 
 
-def _project_ineqs(out: _Reduced, ineqs):
-    """Map x-space inequalities into t-space, dropping trivial rows and
-    deduplicating parallel same-direction rows (keeping the tighter rhs)."""
-    x0, basis = out.x0, out.basis
+def _functional(x0, basis, coeffs):
+    """coeffs . x as const + obj . t, where x = x0 + N t and basis holds
+    the columns of N; returns (const, obj)."""
+    nz = [(j, c) for j, c in enumerate(coeffs) if c]
+    return (sum(c * x0[j] for j, c in nz),
+            tuple(sum(c * v[j] for j, c in nz) for v in basis))
+
+
+def _project(x0, basis, rows):
+    """Rows (coeffs, rhs) over x written as (obj, rhs') over t, where
+    x = x0 + N t, so coeffs . x = rhs becomes obj . t = rhs'."""
+    out = []
+    for coeffs, rhs in rows:
+        const, obj = _functional(x0, basis, coeffs)
+        out.append((obj, rhs - const))
+    return out
+
+
+def _lift(x0, basis, t):
+    """x0 + N t, with basis = the columns of N."""
+    x = list(x0)
+    for tv, v in zip(t, basis):
+        if tv:
+            for j, vj in enumerate(v):
+                if vj:
+                    x[j] += tv * vj
+    return tuple(x)
+
+
+def _with_rows(x0, basis, projected):
+    """The _Reduction with t-space rows (row, rhs), deduplicated; None
+    when a row reduces to 0 <= negative."""
     seen = {}
-    for coeffs, rhs in ineqs:
-        const = sum(c * x for c, x in zip(coeffs, x0))
-        row = tuple(sum(c * v[j] for j, c in enumerate(coeffs) if c)
-                    for v in basis)
-        b = rhs - const
-        if all(x == 0 for x in row):
+    for row, b in projected:
+        lead = next((x for x in row if x), None)
+        if lead is None:
             if b < 0:
-                out.trivially_empty = True
+                return None
             continue
-        lead = next(x for x in row if x != 0)
         scale = abs(lead)
         key = tuple(x / scale for x in row)
         val = b / scale
-        if key in seen:
-            if val < seen[key][1]:
-                seen[key] = (seen[key][0], val)  # keep position, tighten rhs
-        else:
-            seen[key] = (len(seen), val)
-    ordered = sorted(seen.items(), key=lambda kv: kv[1][0])
-    out.rows = [list(k) for k, _ in ordered]
-    out.rhs = [v for _, (_pos, v) in ordered]
+        if key not in seen or val < seen[key]:
+            seen[key] = val  # an update keeps the key's first position
+    return _Reduction(x0, basis, tuple(seen), tuple(seen.values()))
 
 
-_SPARSE_CACHE: dict = {}
+def _reduce(eqs, ineqs, n):
+    """Equality elimination from scratch; None when elimination alone
+    shows the system empty."""
+    solved = _solve_eqs(eqs, n)
+    if solved is None:
+        return None
+    x0, basis = solved
+    return _with_rows(x0, basis, _project(x0, basis, ineqs))
 
 
-def propagate_unit_box(sys: LinSystem, seed: dict):
+def _restrict(red, extra_eqs):
+    """red plus the x-space equalities extra_eqs, eliminated in red's
+    t-space: t = t0 + M u solves the projected equalities, so
+    x0' = x0 + N t0, N' = N M, and each row r . t <= b becomes
+    (r M) . u <= b - r . t0.
+
+    The free variables are those a from-scratch elimination picks, so
+    x0', N', rows, rhs and row order all equal its result.
+    """
+    if red is None:
+        return None
+    solved = _solve_eqs(_project(red.x0, red.basis, extra_eqs),
+                        len(red.basis))
+    if solved is None:
+        return None
+    t0, M = solved
+    zero = [ZERO] * len(red.x0)
+    basis = tuple(_lift(zero, red.basis, m) for m in M)
+    return _with_rows(_lift(red.x0, red.basis, t0), basis,
+                      _project(t0, M, zip(red.rows, red.rhs)))
+
+
+def propagate_unit_box(sys: Polytope, seed: dict):
     """Fixpoint propagation of sys.eqs assuming 0 <= x <= 1 everywhere.
 
     seed maps variable indices to pinned values.  Uses three sound
@@ -292,13 +329,7 @@ def propagate_unit_box(sys: LinSystem, seed: dict):
     values, or None when a contradiction proves the seeded system
     infeasible.  Incomplete by design: open questions go to the LP.
     """
-    rows = _SPARSE_CACHE.get(sys)
-    if rows is None:
-        rows = [(tuple((j, c) for j, c in enumerate(coeffs) if c), rhs)
-                for coeffs, rhs in sys.eqs]
-        if len(_SPARSE_CACHE) > 64:
-            _SPARSE_CACHE.clear()
-        _SPARSE_CACHE[sys] = rows
+    rows = sys.sparse_eqs
     known = dict(seed)
     if any(not 0 <= v <= 1 for v in known.values()):
         return None
@@ -340,7 +371,7 @@ def propagate_unit_box(sys: LinSystem, seed: dict):
     return known
 
 
-def functional_on(sys: LinSystem, coeffs):
+def functional_on(sys: Polytope, coeffs):
     """The functional coeffs . x written as const + obj . t in the
     equality-eliminated coordinates.
 
@@ -348,74 +379,23 @@ def functional_on(sys: LinSystem, coeffs):
     affine hull of the solution set, which decides equality questions
     without any optimization.  Raises Infeasible on an empty system.
     """
-    red = _reduce(sys)
-    if not red.feasible_eqs or red.trivially_empty:
+    red = sys.reduced
+    if red is None:
         raise Infeasible()
-    const = sum(c * x for c, x in zip(coeffs, red.x0) if c)
-    obj = tuple(sum(c * v[j] for j, c in enumerate(coeffs) if c)
-                for v in red.basis)
-    return const, obj
+    return _functional(red.x0, red.basis, coeffs)
 
 
-def _reduce_impl(sys: LinSystem) -> _Reduced:
-    n = len(sys.vars)
-    feasible, x0, basis = _solve_eqs(sys.eqs, n)
-    if not feasible:
-        return _Reduced(feasible_eqs=False)
-    out = _Reduced(True, x0, basis)
-    _project_ineqs(out, sys.ineqs)
-    return out
-
-
-def with_premise(sys: LinSystem, extra_eqs) -> LinSystem:
+def with_premise(sys: Polytope, extra_eqs) -> Polytope:
     """sys plus extra equalities ((coeffs, rhs) in x-space).
 
-    Equivalent to rebuilding the system from scratch, but the new
-    system's reduction is composed from sys's cached reduction in the
-    small eliminated space, which makes premise sweeps cheap.
+    Equivalent to building the system from scratch, but the child's
+    reduction is restricted from sys's in the small eliminated space,
+    which makes premise sweeps cheap.
     """
-    extra_eqs = tuple((tuple(map(Fraction, coeffs)), Fraction(rhs))
-                      for coeffs, rhs in extra_eqs)
-    new = LinSystem(sys.vars, sys.eqs + extra_eqs, sys.ineqs)
-    if new in _REDUCE_CACHE:
-        return new
-    base = _reduce(sys)
-    if not base.feasible_eqs:
-        _REDUCE_CACHE[new] = _Reduced(feasible_eqs=False)
-        return new
-    d = len(base.basis)
-    t_eqs = []
-    for coeffs, rhs in extra_eqs:
-        row = tuple(sum(c * v[j] for j, c in enumerate(coeffs) if c)
-                    for v in base.basis)
-        t_eqs.append((row, rhs - sum(c * x for c, x in zip(coeffs, base.x0))))
-    feasible, t0, t_basis = _solve_eqs(t_eqs, d)
-    if not feasible:
-        _REDUCE_CACHE[new] = _Reduced(feasible_eqs=False)
-        return new
-    x0 = list(_lift(base, t0))
-    basis = []
-    for m in t_basis:
-        col = [ZERO] * len(sys.vars)
-        for k, mk in enumerate(m):
-            if mk:
-                for j, vj in enumerate(base.basis[k]):
-                    if vj:
-                        col[j] += mk * vj
-        basis.append(col)
-    out = _Reduced(True, x0, basis)
-    _project_ineqs(out, sys.ineqs)
-    _REDUCE_CACHE[new] = out
-    return new
-
-
-def _lift(red: _Reduced, t):
-    x = list(red.x0)
-    for tv, v in zip(t, red.basis):
-        for j, vj in enumerate(v):
-            if vj:
-                x[j] += tv * vj
-    return tuple(x)
+    # premise rows are mostly zeros: convert only the other coefficients
+    extra_eqs = tuple((tuple(Fraction(c) if c else ZERO for c in coeffs),
+                       Fraction(rhs)) for coeffs, rhs in extra_eqs)
+    return Polytope(sys.vars, sys.eqs + extra_eqs, sys.ineqs, _parent=sys)
 
 
 # -- simplex -------------------------------------------------------------
@@ -544,13 +524,13 @@ def _simplex_max(rows, rhs, obj):
     return "optimal", tuple(t), sum(c * x for c, x in zip(obj, t))
 
 
-def _feasible_point(red: _Reduced):
+def _feasible_point(red: _Reduction):
     """A feasible t, or None."""
     status, t, _ = _simplex_max(red.rows, red.rhs, [ZERO] * len(red.basis))
     return t if status == "optimal" else None
 
 
-def _max_t(red: _Reduced, obj):
+def _max_t(red: _Reduction, obj):
     status, t, val = _simplex_max(red.rows, red.rhs, obj)
     if status == "infeasible":
         raise Infeasible()
@@ -562,7 +542,7 @@ def _max_t(red: _Reduced, obj):
 # -- public operations ---------------------------------------------------
 
 
-def _implicit_equalities(red: _Reduced):
+def _implicit_equalities(red: _Reduction):
     """Indices of inequality rows tight on the whole feasible set."""
     tight = []
     for i, (row, b) in enumerate(zip(red.rows, red.rhs)):
@@ -575,7 +555,7 @@ def _implicit_equalities(red: _Reduced):
     return tight
 
 
-def solve(sys: LinSystem) -> PolyInfo:
+def solve(sys: Polytope) -> PolyInfo:
     """Exact feasibility status, affine dimension, and a witness point.
 
     The dimension is that of the affine hull of the feasible set:
@@ -584,18 +564,18 @@ def solve(sys: LinSystem) -> PolyInfo:
     extreme points (a relative-interior point for bounded systems),
     falling back to any feasible point in unbounded directions.
     """
-    red = _reduce(sys)
-    if not red.feasible_eqs or red.trivially_empty:
+    red = sys.reduced
+    if red is None:
         return PolyInfo("empty", -1, None)
     d = len(red.basis)
     if d == 0:
-        return PolyInfo("point", 0, tuple(red.x0))
+        return PolyInfo("point", 0, red.x0)
     t0 = _feasible_point(red)
     if t0 is None:
         return PolyInfo("empty", -1, None)
 
     tight = _implicit_equalities(red)
-    dim = d - _rank([red.rows[i] for i in tight]) if tight else d
+    dim = d - len(_rref([red.rows[i] for i in tight])[0]) if tight else d
 
     points = []
     bounded = True
@@ -613,12 +593,12 @@ def solve(sys: LinSystem) -> PolyInfo:
         witness_t = tuple(sum(p[j] for p in points) * k for j in range(d))
     else:
         witness_t = t0
-    witness = _lift(red, witness_t)
+    witness = _lift(red.x0, red.basis, witness_t)
     status = "point" if dim == 0 else "positive-dimensional"
     return PolyInfo(status, dim, witness)
 
 
-def enumerate_vertices(sys: LinSystem, cap: int = 10000):
+def enumerate_vertices(sys: Polytope, cap: int = 10000):
     """All vertices of a bounded system, lexicographic by variable vector.
 
     Naive basis enumeration over the deduplicated inequality rows in the
@@ -626,12 +606,12 @@ def enumerate_vertices(sys: LinSystem, cap: int = 10000):
     unbounded direction, CapExceeded (with the partial, sorted list
     attached) if more than `cap` vertices exist.
     """
-    red = _reduce(sys)
-    if not red.feasible_eqs or red.trivially_empty:
+    red = sys.reduced
+    if red is None:
         return []
     d = len(red.basis)
     if d == 0:
-        return [tuple(red.x0)]
+        return [red.x0]
     if _feasible_point(red) is None:
         return []
     for j in range(d):
@@ -654,32 +634,30 @@ def enumerate_vertices(sys: LinSystem, cap: int = 10000):
         if ok:
             found.add(sol)
             if len(found) > cap:
-                partial = sorted(_lift(red, t) for t in found)[:cap]
-                raise CapExceeded(partial)
-    return sorted(_lift(red, t) for t in found)
+                raise CapExceeded(sorted(
+                    _lift(red.x0, red.basis, t) for t in found)[:cap])
+    return sorted(_lift(red.x0, red.basis, t) for t in found)
 
 
-def maximize(sys: LinSystem, coeffs, const=ZERO):
+def maximize(sys: Polytope, coeffs, const=ZERO):
     """Exact maximum of coeffs . x + const over sys; (value, argmax).
 
     Raises Infeasible on an empty system, Unbounded when the objective
     is unbounded above.
     """
-    red = _reduce(sys)
-    if not red.feasible_eqs or red.trivially_empty:
+    red = sys.reduced
+    if red is None:
         raise Infeasible()
-    base = sum(c * x for c, x in zip(coeffs, red.x0)) + Fraction(const)
-    d = len(red.basis)
-    if d == 0:
+    base, obj = _functional(red.x0, red.basis, coeffs)
+    base += Fraction(const)
+    if not red.basis:
         # all inequalities project to constants, already checked above
-        return base, tuple(red.x0)
-    obj = [sum(c * v[j] for j, c in enumerate(coeffs) if c)
-           for v in red.basis]
+        return base, red.x0
     val, t = _max_t(red, obj)
-    return base + val, _lift(red, t)
+    return base + val, _lift(red.x0, red.basis, t)
 
 
-def certify_implied(sys: LinSystem, coeffs, rhs) -> Certification:
+def certify_implied(sys: Polytope, coeffs, rhs) -> Certification:
     """Does coeffs . x <= rhs hold over the whole solution set of sys?
 
     Decided by exact maximization of the left side.  When the maximum

@@ -7,7 +7,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .lattice import Oml
-from .linear import LinSystem, PolyInfo, SystemBuilder, enumerate_vertices, solve
+from .linear import (PolyInfo, Polytope, SystemBuilder, enumerate_vertices,
+                     solve)
 from .rational import fmt_rat, parse_rat
 
 
@@ -102,7 +103,7 @@ def is_state(l: Oml, s: StateFn) -> bool:
     return True
 
 
-def state_system(l: Oml) -> LinSystem:
+def state_system(l: Oml) -> Polytope:
     """The state axioms as a linear system, one variable per element.
 
     Additivity equalities are generated for all orthogonal pairs (the
@@ -131,19 +132,27 @@ class StateClass:
     polytope: PolyInfo
 
 
-def classify_states(l: Oml) -> StateClass:
+def classify_states(l: Oml, sys: Polytope | None = None) -> StateClass:
     """Classify the lattice by the affine dimension of its state space.
 
     A positive-dimensional rational polytope contains infinitely many
-    states, which is the quantum-logic case.
+    states, which is the quantum-logic case.  sys is l's state_system,
+    when the caller has built it already.
     """
-    info = solve(state_system(l))
+    if sys is None:
+        sys = state_system(l)
+    info = solve(sys)
     tag = {"empty": "stateless", "point": "unique-state",
            "positive-dimensional": "quantum-logic"}[info.status]
     return StateClass(tag, info)
 
 
-def state_vertices(l: Oml, cap: int = 10000) -> list:
-    """Extreme states of the state polytope, as StateFn, in vertex order."""
-    return [StateFn.from_vector(l, v)
-            for v in enumerate_vertices(state_system(l), cap)]
+def state_vertices(l: Oml, cap: int = 10000,
+                   sys: Polytope | None = None) -> list:
+    """Extreme states of the state polytope, as StateFn, in vertex order.
+
+    sys is l's state_system, when the caller has built it already.
+    """
+    if sys is None:
+        sys = state_system(l)
+    return [StateFn.from_vector(l, v) for v in enumerate_vertices(sys, cap)]

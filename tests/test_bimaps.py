@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
@@ -306,6 +307,9 @@ def test_dmap_system_membership(mo2, smap_vertices_mo2):
 def test_gmap_system_rejects_bad_corners(mo2):
     with pytest.raises(InvalidCorners):
         gmap_system(mo2, (0, 0, 2, 1))
+    # a fractional corner is refused, not truncated to 0 and pinned
+    with pytest.raises(InvalidCorners):
+        gmap_system(mo2, (F(1, 2), 0, 1, 1))
 
 
 # -- serialization -------------------------------------------------------
@@ -319,6 +323,15 @@ def test_bimap_json_round_trip(g9, mo2):
 def test_bimap_rejects_partial(mo2):
     with pytest.raises(BiMapError):
         bimap_from_json('{"lattice": "x", "values": {"0|0": "0"}}', mo2)
+
+
+def test_bimap_rejects_unknown_pair_key():
+    b1 = lattice.boolean_algebra(1)
+    values = {"%s|%s" % p: "0" for p in b1.pairs()}
+    values["zz|q"] = "0"
+    text = json.dumps({"lattice": "b1.json", "values": values})
+    with pytest.raises(BiMapError, match=r"zz\|q"):
+        bimap_from_json(text, b1)
 
 
 def test_bimap_rejects_out_of_range(mo2):
@@ -521,5 +534,8 @@ def test_checker_agrees_with_system(system, valid_maps, mo2, b3):
                                  ("a", "b"), ("b", "1")])):
         M = valid_maps[lname][system]
         for N in [M] + [mutate(M, a, b) for a, b in sites]:
-            assert (check_map(system, N).ok
-                    == satisfies(system_of(system, N), N.as_vector()))
+            try:
+                member = satisfies(system_of(system, N), N.as_vector())
+            except InvalidCorners:
+                member = False  # a corner off {0, 1}: no G-system holds it
+            assert check_map(system, N).ok == member

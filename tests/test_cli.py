@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from omlprob import lattice
+from omlprob import lattice, linear
 from omlprob.bimaps import build_table3_family
 from omlprob.cli import main
 
@@ -17,6 +17,7 @@ def files(tmp_path_factory):
     (d / "mo2.json").write_text(mo2.to_json())
     (d / "b3.json").write_text(lattice.boolean_algebra(3).to_json())
     (d / "b2.json").write_text(lattice.boolean_algebra(2).to_json())
+    (d / "mo3.json").write_text(lattice.mo(3).to_json())
     (d / "hex.json").write_text(json.dumps(lattice.hexagon_candidate()))
     (d / "list.json").write_text("[]")
     triple = lattice.boolean_algebra(2).to_dict()
@@ -24,6 +25,14 @@ def files(tmp_path_factory):
     (d / "triple.json").write_text(json.dumps(triple))
     g9 = build_table3_family(F(1, 3), F(2, 3), 0, 1, l=mo2)
     (d / "g9.json").write_text(g9.to_json("mo2.json"))
+    b1 = lattice.boolean_algebra(1)
+    (d / "b1.json").write_text(b1.to_json())
+    # the s-map m(a^b) of 2^1's one state, plus a key naming no element
+    values = {"0|0": "0", "0|1": "0", "1|0": "0", "1|1": "1", "zz|q": "0"}
+    (d / "unknown-key.json").write_text(
+        json.dumps({"lattice": "b1.json", "values": values}))
+    (d / "pipe.json").write_text(
+        lattice.boolean_algebra(2).to_json().replace('"a"', '"a|x"'))
     return d
 
 
@@ -86,10 +95,15 @@ def test_classify_map(files, capsys):
     assert data["pure_projection_witness"] == ["a", "b"]
 
 
-def test_states_with_vertices(files, capsys):
+def test_states_with_vertices(files, capsys, monkeypatch):
+    reductions = []
+    reduce = linear._reduce
+    monkeypatch.setattr(linear, "_reduce",
+                        lambda *a: reductions.append(a) or reduce(*a))
     code, out, _ = run(capsys, "--json", "states", files / "mo2.json",
                        "--vertices", "10")
     assert code == 0
+    assert len(reductions) == 1  # classification and vertices share it
     data = json.loads(out)
     assert data["classification"] == "quantum-logic"
     assert data["dim"] == 2
@@ -191,14 +205,54 @@ def test_usage_error_exit_code(capsys):
     (["search", "pseudometric", "--cap", "1", "b2.json"], None, 2),
     (["search", "pseudometric", "--cap", "0", "b2.json"], None, 2),
     (["states", "b2.json"], "many", 2),
+    (["check-map", "--system", "s", "b1.json", "unknown-key.json"], None, 1),
+    (["property", "bell1-state", "pipe.json"], None, 1),
 ], ids=["non-oml-property", "non-oml-states", "non-oml-check-map",
         "non-object-lattice", "order-triple", "order-triple-check-lattice",
-        "cap-below-vertices", "cap-zero", "bad-max-elements"])
+        "cap-below-vertices", "cap-zero", "bad-max-elements",
+        "unknown-pair-key", "pipe-in-element-id"])
 def test_bad_input_exit_codes(files, capsys, monkeypatch, argv, env, code):
-    # each input once escaped main() as a traceback
+    # each input once escaped main() as a traceback or exited 0 or 2
     if env is not None:
         monkeypatch.setenv("OMLPROB_MAX_ELEMENTS", env)
     assert main(["--json"] + [str(files / a) if a.endswith(".json") else a
                               for a in argv]) == code
     if code == 2:
         assert capsys.readouterr().err.startswith("error: ")
+
+
+# --json payloads and exit codes of the Jauch-Piron properties, pinned
+# from the solver before premises were restricted in the reduced space
+_SMAP_IMPLIED = {"certificate": {"addendum": "p(a,c)=p(c,a)=p(c,c)",
+                                 "conclusion": "p(a,b)=1"},
+                 "details": None, "property": "jauch-piron-smap",
+                 "verdict": "implied", "witness": None}
+
+
+def _state_violated(state):
+    return {"certificate": None, "details": None,
+            "property": "jauch-piron-state", "verdict": "violated",
+            "witness": {"m(a^b)": "0", "pair": "a,b", "state": state}}
+
+
+JAUCH_PIRON_GOLDENS = {
+    ("jauch-piron-state", "b3"): (0, {
+        "certificate": {"min_conclusion": "1"}, "details": None,
+        "property": "jauch-piron-state", "verdict": "implied",
+        "witness": None}),
+    ("jauch-piron-state", "mo2"): (1, _state_violated(
+        {"0": "0", "1": "1", "a": "1", "a'": "0", "b": "1", "b'": "0"})),
+    ("jauch-piron-state", "mo3"): (1, _state_violated(
+        {"0": "0", "1": "1", "a": "1", "a'": "0", "b": "1", "b'": "0",
+         "c": "1", "c'": "0"})),
+    ("jauch-piron-smap", "b3"): (0, _SMAP_IMPLIED),
+    ("jauch-piron-smap", "mo2"): (0, _SMAP_IMPLIED),
+    ("jauch-piron-smap", "mo3"): (0, _SMAP_IMPLIED),
+}
+
+
+@pytest.mark.parametrize("prop,tag", sorted(JAUCH_PIRON_GOLDENS))
+def test_jauch_piron_payloads_unchanged(files, capsys, prop, tag):
+    code, out, _ = run(capsys, "--json", "property", prop,
+                       files / (tag + ".json"))
+    assert (code, json.loads(out)) == JAUCH_PIRON_GOLDENS[prop, tag]

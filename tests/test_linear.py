@@ -4,9 +4,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from omlprob import lattice, linear
+from omlprob.bimaps import smap_system
 from omlprob.linear import (
     CapExceeded,
     Infeasible,
+    Polytope,
     SystemBuilder,
     Unbounded,
     certify_implied,
@@ -16,6 +19,7 @@ from omlprob.linear import (
     solve,
     with_premise,
 )
+from omlprob.states import state_system
 
 F = Fraction
 
@@ -162,6 +166,21 @@ def test_certify_implied_false_with_counterexample():
     assert satisfies(unit_square(), cert.counterexample)
 
 
+def direct_build(sys):
+    """The same system as a Polytope reduced from scratch."""
+    return Polytope(sys.vars, sys.eqs, sys.ineqs)
+
+
+def pins(sys, values):
+    """Unit-pin premise rows x_name = v, as dense x-space rows."""
+    rows = []
+    for name, v in values.items():
+        coeffs = [0] * len(sys.vars)
+        coeffs[sys.index[name]] = 1
+        rows.append((coeffs, v))
+    return rows
+
+
 def test_with_premise_matches_direct_build():
     base = unit_square()
     premise = [((F(1), F(-1)), F(0))]  # x = y
@@ -170,6 +189,27 @@ def test_with_premise_matches_direct_build():
     assert val == 2  # x = y = 1
     val, _ = maximize(sys2, [F(1), F(-2)])
     assert val == 0  # x - 2y = -x maximized at x = 0
+    assert sys2.reduced == direct_build(sys2).reduced
+
+    # restricted in the parent's t-space, the child reduces to exactly
+    # the x0, basis, rows, rhs (and row order) of a from-scratch build
+    mo3 = lattice.mo(3)
+    for base, first, second in (
+            (smap_system(mo3), {"a|a": 1, "b|b": 1}, {"c|c": F(1, 2)}),
+            (state_system(mo3), {"a": 1}, {"b": 1})):
+        child = with_premise(base, pins(base, first))
+        grandchild = with_premise(child, pins(child, second))
+        for sys in (child, grandchild):
+            red = sys.reduced
+            assert red is not None and red.rows
+            assert red == direct_build(sys).reduced
+
+
+def test_linear_keeps_no_module_state():
+    mutable = [name for name, value in vars(linear).items()
+               if not name.startswith("__")
+               and isinstance(value, (dict, list, set))]
+    assert mutable == []
 
 
 # -- property: LP maximum dominates every feasible sample ----------------
