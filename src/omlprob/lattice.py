@@ -228,7 +228,7 @@ def _transitive_closure(elements, rel):
 def validate_oml(candidate: dict) -> Oml:
     """Verify a raw lattice description and return a verified Oml.
 
-    The candidate maps "elements" to a list of ids, "leq" (full or
+    The candidate maps "elements" to a list of string ids, "leq" (full or
     partial order pairs) or "covers" to a list of [x, y] pairs meaning
     x <= y, "comp" to the orthocomplement map, and "bot"/"top" to the
     extremes.  The order is normalized to its reflexive-transitive
@@ -240,10 +240,8 @@ def validate_oml(candidate: dict) -> Oml:
         raise NotALattice("unknown keys in lattice description: %s"
                           % sorted(unknown))
     try:
-        elements = list(candidate["elements"])
-        comp = dict(candidate["comp"])
-        bot = candidate["bot"]
-        top = candidate["top"]
+        elements, comp = candidate["elements"], candidate["comp"]
+        bot, top = candidate["bot"], candidate["top"]
     except KeyError as e:
         raise NotALattice("missing key %s" % e) from e
     if "leq" in candidate and "covers" in candidate:
@@ -251,34 +249,41 @@ def validate_oml(candidate: dict) -> Oml:
     raw_rel = candidate.get("leq", candidate.get("covers"))
     if raw_rel is None:
         raise NotALattice("missing order relation ('leq' or 'covers')")
+    if not (isinstance(elements, (list, tuple)) and isinstance(comp, dict)
+            and isinstance(raw_rel, (list, tuple))):
+        raise NotALattice("elements and the order must be lists, "
+                          "comp an object")
 
-    if len(elements) != len(set(elements)):
-        raise NotALattice("duplicate element ids")
     for x in elements:
-        if isinstance(x, str) and "|" in x:
+        if not isinstance(x, str) or "|" in x:
             # map files and LP variables name a pair "a|b"
-            raise NotALattice("element id %r contains '|'" % x)
+            raise NotALattice("element id %r is not a string without '|'"
+                              % (x,))
+    elem_set = set(elements)
+
+    def known(x):
+        return isinstance(x, str) and x in elem_set
+
+    if len(elements) != len(elem_set):
+        raise NotALattice("duplicate element ids")
     if len(elements) > max_elements():
         raise NotALattice("lattice exceeds the %d-element bound"
                           % max_elements())
     if len(elements) < 2:
         raise NotALattice("need at least the two elements bot and top")
-    elem_set = set(elements)
     for x in (bot, top):
-        if x not in elem_set:
-            raise NotALattice("bot/top %r not among the elements" % x)
+        if not known(x):
+            raise NotALattice("bot/top %r not among the elements" % (x,))
 
     pairs = []
     for pair in raw_rel:
-        try:
-            a, b = pair
-        except (TypeError, ValueError):
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise NotALattice("order pair %r is not an [x, y] pair"
-                              % (pair,)) from None
-        if a not in elem_set or b not in elem_set:
+                              % (pair,))
+        if not all(map(known, pair)):
             raise NotALattice("order pair %r mentions unknown element"
                               % (list(pair),))
-        pairs.append((a, b))
+        pairs.append(tuple(pair))
     leq = _transitive_closure(elements, pairs)
 
     for a, b in itertools.combinations(elements, 2):
@@ -307,7 +312,7 @@ def validate_oml(candidate: dict) -> Oml:
     for x in elements:
         if x not in comp:
             raise ComplementAxiom("i", "no complement given for %r" % x)
-        if comp[x] not in elem_set:
+        if not known(comp[x]):
             raise ComplementAxiom("i", "complement of %r is unknown element %r"
                                   % (x, comp[x]))
     for x in elements:

@@ -1,15 +1,22 @@
 """Exact rational linear feasibility, optimization, vertex enumeration.
 
-Everything runs over fractions.Fraction (arbitrary-precision, exact);
-there is no floating point anywhere.  A system is one immutable
+Everything is exact: fractions.Fraction, and integers inside the
+simplex; there is no floating point anywhere.  A system is one immutable
 Polytope value.  On first use it is reduced, once, by rational
 Gaussian elimination on the equalities to x = x0 + N t, so
 optimization and vertex enumeration happen in the (usually much
 smaller) space t of the remaining free directions.  with_premise adds
 equalities by restricting the parent's reduction inside that t-space,
 which gives exactly the reduction a from-scratch elimination would.
-Optimization is a textbook two-phase simplex with Bland's rule, which
-terminates on every input.  The module keeps no state between calls.
+
+Optimization is a vertex simplex in t-space: its basis is d rows
+tight at the current vertex, whose d x d inverse a pivot updates by
+rank one, in O(m.d), with no tableau or slack columns.  A dual simplex
+with zero objective finds one start vertex per Polytope (or proves it
+empty), and the Polytope keeps it; each objective runs the primal
+simplex from that vertex, so no result depends on earlier calls.  Both
+use Bland's rule and terminate.  The module keeps no state between
+calls.
 
 Intended for desk-scale instances (tens of variables); see the module
 users for the size discipline.
@@ -17,8 +24,11 @@ users for the size discipline.
 
 from __future__ import annotations
 
+import collections
+import copy
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -83,10 +93,27 @@ class Polytope:
                          self.eqs[len(self._parent.eqs):])
 
     @functools.cached_property
+    def start(self):
+        """The _Basis every maximization starts from, or None when the
+        system is empty; found once, on first use, by phase 1."""
+        red = self.reduced
+        return None if red is None else _start_vertex(red)
+
+    @functools.cached_property
     def sparse_eqs(self):
         """eqs with each row cut to its nonzero (index, coeff) terms."""
         return tuple((tuple((j, c) for j, c in enumerate(coeffs) if c), rhs)
                      for coeffs, rhs in self.eqs)
+
+    @functools.cached_property
+    def eqs_of_var(self):
+        """For each variable, the positions of the sparse_eqs rows it
+        occurs in."""
+        rows = [[] for _ in self.vars]
+        for i, (terms, _rhs) in enumerate(self.sparse_eqs):
+            for j, _c in terms:
+                rows[j].append(i)
+        return tuple(map(tuple, rows))
 
 
 class SystemBuilder:
@@ -325,49 +352,52 @@ def propagate_unit_box(sys: Polytope, seed: dict):
     seed maps variable indices to pinned values.  Uses three sound
     rules per equality row: a single unknown is solved outright, and a
     residual equal to the row's interval minimum (or maximum) pins every
-    unknown at the corresponding endpoint.  Returns the dict of forced
+    unknown at the corresponding endpoint.  A worklist revisits only the
+    rows of newly pinned variables; the rules are monotone, so the
+    fixpoint is the same in any order.  Returns the dict of forced
     values, or None when a contradiction proves the seeded system
     infeasible.  Incomplete by design: open questions go to the LP.
     """
-    rows = sys.sparse_eqs
+    rows, rows_of = sys.sparse_eqs, sys.eqs_of_var
     known = dict(seed)
     if any(not 0 <= v <= 1 for v in known.values()):
         return None
-    changed = True
-    while changed:
-        changed = False
-        for terms, rhs in rows:
-            r = rhs
-            unknown = []
-            for j, c in terms:
-                v = known.get(j)
-                if v is None:
-                    unknown.append((j, c))
-                else:
-                    r -= c * v
-            if not unknown:
-                if r != 0:
-                    return None
-                continue
-            lo = sum(c for _, c in unknown if c < 0)
-            hi = sum(c for _, c in unknown if c > 0)
-            if not lo <= r <= hi:
+    queue = collections.deque(range(len(rows)))
+    queued = [True] * len(rows)
+    while queue:
+        i = queue.popleft()
+        queued[i] = False
+        terms, r = rows[i]
+        unknown = []
+        for j, c in terms:
+            v = known.get(j)
+            if v is None:
+                unknown.append((j, c))
+            else:
+                r -= c * v
+        if not unknown:
+            if r != 0:
                 return None
-            if len(unknown) == 1:
-                j, c = unknown[0]
-                v = r / c
-                if not 0 <= v <= 1:
-                    return None
-                known[j] = v
-                changed = True
-            elif r == lo:
-                for j, c in unknown:
-                    known[j] = ONE if c < 0 else ZERO
-                changed = True
-            elif r == hi:
-                for j, c in unknown:
-                    known[j] = ONE if c > 0 else ZERO
-                changed = True
+            continue
+        lo = sum(c for _, c in unknown if c < 0)
+        hi = sum(c for _, c in unknown if c > 0)
+        if not lo <= r <= hi:
+            return None
+        if len(unknown) == 1:
+            j, c = unknown[0]
+            pinned = [(j, r / c)]  # in [0, 1] by the interval test
+        elif r == lo:
+            pinned = [(j, ONE if c < 0 else ZERO) for j, c in unknown]
+        elif r == hi:
+            pinned = [(j, ONE if c > 0 else ZERO) for j, c in unknown]
+        else:
+            continue
+        for j, v in pinned:
+            known[j] = v
+            for k in rows_of[j]:
+                if not queued[k]:
+                    queued[k] = True
+                    queue.append(k)
     return known
 
 
@@ -398,161 +428,145 @@ def with_premise(sys: Polytope, extra_eqs) -> Polytope:
     return Polytope(sys.vars, sys.eqs + extra_eqs, sys.ineqs, _parent=sys)
 
 
-# -- simplex -------------------------------------------------------------
+# -- simplex in the reduced space ----------------------------------------
 
 
-def _simplex_max(rows, rhs, obj):
-    """Maximize obj . t subject to rows . t <= rhs, t free.
+def _dot(terms, col):
+    return sum(c * col[j] for j, c in terms)
 
-    Returns (status, t, value) with status in "optimal", "unbounded",
-    "infeasible".  Free variables are split t = u - v; Bland's rule
-    guarantees termination.
+
+class _Basis:
+    """d rows of rows . t <= rhs, and the vertex t where they are tight.
+
+    Everything is an integer: each row is scaled by a positive factor
+    to integer terms and rhs, which changes neither the feasible set
+    nor any pivot choice.  basis[k] is the row in slot k, or None for a
+    pin t_k = 0 on a direction no row bounds.  det is the determinant
+    of the basis rows and adj[k] is column k of det times their
+    inverse, so row basis[l] . adj[k] = det * (k == l).  The vertex is
+    t = num / det, and slack[r] = det * (rhs[r] - rows[r] . t).  A
+    pivot updates all of it by rank one with exact integer division
+    (Bareiss), in O(m.d) operations.
     """
-    m = len(rows)
-    d = len(obj)
-    if m == 0:
-        if any(c != 0 for c in obj):
-            return "unbounded", None, None
-        return "optimal", tuple([ZERO] * d), ZERO
 
-    ncols = 2 * d + m  # u, v, slacks; artificials appended as needed
-    tab = []
-    basis = []
-    art_cols = []
-    for i in range(m):
-        row = [ZERO] * ncols
-        sign = ONE if rhs[i] >= 0 else -ONE
-        for j in range(d):
-            row[j] = sign * rows[i][j]
-            row[d + j] = -sign * rows[i][j]
-        row[2 * d + i] = sign
-        row.append(sign * rhs[i])
-        tab.append(row)
-        if sign == ONE:
-            basis.append(2 * d + i)
-        else:
-            basis.append(None)  # artificial to be added
-    for i in range(m):
-        if basis[i] is None:
-            for r in tab:
-                r.insert(-1, ZERO)
-            tab[i][-2] = ONE
-            basis[i] = ncols
-            art_cols.append(ncols)
-            ncols += 1
+    def __init__(self, red: _Reduction):
+        d = len(red.basis)
+        self.terms, self.rhs = [], []
+        for row, b in zip(red.rows, red.rhs):
+            scale = math.lcm(b.denominator, *(x.denominator for x in row))
+            self.terms.append(tuple((j, int(x * scale))
+                                    for j, x in enumerate(row) if x))
+            self.rhs.append(int(b * scale))
+        self.basis = [None] * d
+        self.det = 1
+        self.adj = [[int(j == k) for j in range(d)] for k in range(d)]
+        self.num = [0] * d
+        self.slack = list(self.rhs)
 
-    def pivot(tab, basis, obj_row, r, c):
-        pv = tab[r][c]
-        tab[r] = [x / pv for x in tab[r]]
-        for i in range(len(tab)):
-            if i != r and tab[i][c] != 0:
-                f = tab[i][c]
-                tab[i] = [x - f * y for x, y in zip(tab[i], tab[r])]
-        if obj_row[c] != 0:
-            f = obj_row[c]
-            for j in range(len(obj_row)):
-                obj_row[j] -= f * tab[r][j]
-        basis[r] = c
+    def copy(self):
+        other = copy.copy(self)
+        other.basis = list(self.basis)
+        other.adj = [list(col) for col in self.adj]
+        return other
 
-    def run(tab, basis, obj_row, col_limit):
-        while True:
-            enter = None
-            for j in range(col_limit):
-                if obj_row[j] < 0:
-                    enter = j
-                    break
-            if enter is None:
-                return "optimal"
-            leave = None
-            best = None
-            for i in range(len(tab)):
-                if tab[i][enter] > 0:
-                    ratio = tab[i][-1] / tab[i][enter]
-                    if best is None or ratio < best or (
-                            ratio == best and basis[i] < basis[leave]):
-                        best = ratio
-                        leave = i
-            if leave is None:
-                return "unbounded"
-            pivot(tab, basis, obj_row, leave, enter)
+    def point(self):
+        return tuple(Fraction(x, self.det) for x in self.num)
 
-    if art_cols:
-        # phase 1: minimize sum of artificials (maximize the negation)
-        obj_row = [ZERO] * (ncols + 1)
-        for c in art_cols:
-            obj_row[c] = ONE
-        for i in range(m):
-            if basis[i] in art_cols:
-                f = obj_row[basis[i]]
-                obj_row = [x - f * y for x, y in zip(obj_row, tab[i])]
-        run(tab, basis, obj_row, ncols)
-        art_sum = sum(tab[i][-1] for i in range(m) if basis[i] in art_cols)
-        if art_sum != 0:
-            return "infeasible", None, None
-        # drive remaining artificials out of the basis
-        for i in range(m):
-            if basis[i] in art_cols:
-                piv_col = None
-                for j in range(2 * d + m):
-                    if j not in art_cols and tab[i][j] != 0:
-                        piv_col = j
-                        break
-                if piv_col is not None:
-                    dummy = [ZERO] * (ncols + 1)
-                    pivot(tab, basis, dummy, i, piv_col)
-        keep = [i for i in range(m) if basis[i] not in art_cols]
-        tab = [tab[i] for i in keep]
-        basis = [basis[i] for i in keep]
+    def column(self, k):
+        """rows . adj[k]: det times the rate at which each row's left
+        side grows as t moves along column k of the inverse."""
+        col = self.adj[k]
+        return [_dot(terms, col) for terms in self.terms]
 
-    obj_row = [ZERO] * (ncols + 1)
-    for j in range(d):
-        obj_row[j] = -obj[j]
-        obj_row[d + j] = obj[j]
-    for i in range(len(tab)):
-        if obj_row[basis[i]] != 0:
-            f = obj_row[basis[i]]
-            obj_row = [x - f * y for x, y in zip(obj_row, tab[i])]
-    status = run(tab, basis, obj_row, 2 * d + m)  # artificials stay out
-    if status == "unbounded":
-        return "unbounded", None, None
-    t = [ZERO] * d
-    for i, b in enumerate(basis):
-        if b < d:
-            t[b] += tab[i][-1]
-        elif b < 2 * d:
-            t[b - d] -= tab[i][-1]
-    return "optimal", tuple(t), sum(c * x for c, x in zip(obj, t))
+    def pivot(self, k, e, gamma):
+        """Swap row e into slot k and move to the new vertex, where row
+        e is tight.  gamma is self.column(k).  Entries of a column past
+        the first d (an objective's multiplier) are carried along."""
+        det, adj, colk = self.det, self.adj, self.adj[k]
+        alpha = [_dot(self.terms[e], col) for col in adj]
+        piv, s = alpha[k], self.slack[e]  # piv: the new determinant
+        self.num = [(piv * x + s * y) // det for x, y in zip(self.num, colk)]
+        self.slack = [(piv * x - s * g) // det
+                      for x, g in zip(self.slack, gamma)]
+        for j, a in enumerate(alpha):
+            if j != k:
+                adj[j] = [(piv * x - a * y) // det
+                          for x, y in zip(adj[j], colk)]
+        self.det = piv
+        self.basis[k] = e
 
 
-def _feasible_point(red: _Reduction):
-    """A feasible t, or None."""
-    status, t, _ = _simplex_max(red.rows, red.rhs, [ZERO] * len(red.basis))
-    return t if status == "optimal" else None
+def _start_vertex(red: _Reduction):
+    """A _Basis at a vertex of red's rows, or None when they have no
+    solution.
+
+    The first d independent rows replace pins, each in the first pin
+    slot it is independent of.  Phase 1 then runs a dual simplex with
+    zero objective, for which every basis is dual feasible: it swaps in
+    the first violated row by Bland's rule.  A violated row that no
+    basis row can make room for is a Farkas certificate: it is a
+    nonnegative combination of basis rows whose rhs is too small.
+    """
+    b = _Basis(red)
+    for e, terms in enumerate(b.terms):
+        pins = [k for k, i in enumerate(b.basis) if i is None]
+        if not pins:
+            break
+        k = next((k for k in pins if _dot(terms, b.adj[k])), None)
+        if k is not None:
+            b.pivot(k, e, b.column(k))
+    while True:
+        sign = 1 if b.det > 0 else -1
+        e = next((e for e, x in enumerate(b.slack) if x * sign < 0), None)
+        if e is None:
+            return b
+        room = [k for k, col in enumerate(b.adj) if b.basis[k] is not None
+                and _dot(b.terms[e], col) * sign > 0]
+        if not room:
+            return None
+        k = min(room, key=b.basis.__getitem__)
+        b.pivot(k, e, b.column(k))
 
 
-def _max_t(red: _Reduction, obj):
-    status, t, val = _simplex_max(red.rows, red.rhs, obj)
-    if status == "infeasible":
+def _max_t(start: _Basis, obj):
+    """Maximize obj . t over the rows of start; (value, t).
+
+    The primal simplex over bases of tight rows, from start.  The
+    leaving row is the lowest-index basis row with a negative
+    multiplier, and the entering row wins ratio ties by lowest index:
+    Bland's rule on the slack form, so it terminates.  Each column of
+    adj carries det times obj's multiplier for its row as a last entry.
+    """
+    if start is None:
         raise Infeasible()
-    if status == "unbounded":
-        raise Unbounded()
-    return val, t
+    b = start.copy()
+    d = len(b.num)
+    scale = math.lcm(*(c.denominator for c in obj))
+    terms = tuple((j, int(c * scale)) for j, c in enumerate(obj) if c)
+    for col in b.adj:
+        col.append(_dot(terms, col))
+    if any(col[d] for k, col in enumerate(b.adj) if b.basis[k] is None):
+        raise Unbounded()  # obj is not constant along a line of the set
+    while True:
+        sign = 1 if b.det > 0 else -1
+        out = [k for k, col in enumerate(b.adj) if col[d] * sign < 0]
+        if not out:
+            t = b.point()
+            return sum(c * x for c, x in zip(obj, t)), t
+        k = min(out, key=b.basis.__getitem__)
+        gamma = b.column(k)
+        enter = None
+        for r, g in enumerate(gamma):
+            # ratio slack[r] / -g, the step at which row r turns tight
+            if g * sign < 0 and (enter is None or b.slack[r] * gamma[enter]
+                                 > b.slack[enter] * g):
+                enter = r
+        if enter is None:
+            raise Unbounded()
+        b.pivot(k, enter, gamma)
 
 
 # -- public operations ---------------------------------------------------
-
-
-def _implicit_equalities(red: _Reduction):
-    """Indices of inequality rows tight on the whole feasible set."""
-    tight = []
-    for i, (row, b) in enumerate(zip(red.rows, red.rhs)):
-        try:
-            val, _ = _max_t(red, [-c for c in row])  # val = -min(row . t)
-        except Unbounded:
-            continue
-        if -val == b:
-            tight.append(i)
-    return tight
 
 
 def solve(sys: Polytope) -> PolyInfo:
@@ -560,39 +574,32 @@ def solve(sys: Polytope) -> PolyInfo:
 
     The dimension is that of the affine hull of the feasible set:
     the equality kernel minus the rank of the implicit equalities among
-    the inequalities.  The witness is the average of the per-coordinate
-    extreme points (a relative-interior point for bounded systems),
-    falling back to any feasible point in unbounded directions.
+    the inequalities.  The witness is the mean of one minimiser of each
+    inequality that is not an implicit equality, so each of those holds
+    strictly at it: a relative-interior point.  When some inequality is
+    unbounded below the witness is the start vertex instead.
     """
     red = sys.reduced
-    if red is None:
+    if sys.start is None:
         return PolyInfo("empty", -1, None)
+    tight, points = [], []  # implicit equalities; minimisers of the rest
+    for i, (row, b) in enumerate(zip(red.rows, red.rhs)):
+        try:
+            val, t = _max_t(sys.start, [-c for c in row])  # -min(row . t)
+        except Unbounded:
+            points = None
+            continue
+        if -val == b:
+            tight.append(i)
+        elif points is not None:
+            points.append(t)
     d = len(red.basis)
-    if d == 0:
-        return PolyInfo("point", 0, red.x0)
-    t0 = _feasible_point(red)
-    if t0 is None:
-        return PolyInfo("empty", -1, None)
-
-    tight = _implicit_equalities(red)
     dim = d - len(_rref([red.rows[i] for i in tight])[0]) if tight else d
-
-    points = []
-    bounded = True
-    for j in range(d):
-        for sign in (ONE, -ONE):
-            obj = [ZERO] * d
-            obj[j] = sign
-            try:
-                _, t = _max_t(red, obj)
-                points.append(t)
-            except Unbounded:
-                bounded = False
-    if bounded and points:
+    if points:
         k = Fraction(1, len(points))
         witness_t = tuple(sum(p[j] for p in points) * k for j in range(d))
     else:
-        witness_t = t0
+        witness_t = sys.start.point()
     witness = _lift(red.x0, red.basis, witness_t)
     status = "point" if dim == 0 else "positive-dimensional"
     return PolyInfo(status, dim, witness)
@@ -607,31 +614,21 @@ def enumerate_vertices(sys: Polytope, cap: int = 10000):
     attached) if more than `cap` vertices exist.
     """
     red = sys.reduced
-    if red is None:
+    if sys.start is None:
         return []
     d = len(red.basis)
-    if d == 0:
-        return [red.x0]
-    if _feasible_point(red) is None:
-        return []
     for j in range(d):
         for sign in (ONE, -ONE):
             obj = [ZERO] * d
             obj[j] = sign
-            _max_t(red, obj)  # raises Unbounded when appropriate
+            _max_t(sys.start, obj)  # raises Unbounded when appropriate
 
     found = set()
     rows, rhs = red.rows, red.rhs
     for combo in itertools.combinations(range(len(rows)), d):
         sol = solve_square([rows[i] for i in combo], [rhs[i] for i in combo])
-        if sol is None:
-            continue
-        ok = True
-        for row, b in zip(rows, rhs):
-            if sum(c * x for c, x in zip(row, sol)) > b:
-                ok = False
-                break
-        if ok:
+        if sol is not None and all(sum(c * x for c, x in zip(row, sol)) <= b
+                                   for row, b in zip(rows, rhs)):
             found.add(sol)
             if len(found) > cap:
                 raise CapExceeded(sorted(
@@ -650,10 +647,7 @@ def maximize(sys: Polytope, coeffs, const=ZERO):
         raise Infeasible()
     base, obj = _functional(red.x0, red.basis, coeffs)
     base += Fraction(const)
-    if not red.basis:
-        # all inequalities project to constants, already checked above
-        return base, red.x0
-    val, t = _max_t(red, obj)
+    val, t = _max_t(sys.start, obj)
     return base + val, _lift(red.x0, red.basis, t)
 
 

@@ -1,7 +1,14 @@
+import contextlib
+import hashlib
+import io
 import json
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from omlprob import lattice, linear
 from omlprob.bimaps import build_table3_family
@@ -33,6 +40,13 @@ def files(tmp_path_factory):
         json.dumps({"lattice": "b1.json", "values": values}))
     (d / "pipe.json").write_text(
         lattice.boolean_algebra(2).to_json().replace('"a"', '"a|x"'))
+    two = {"elements": ["b", "t"], "leq": [["b", "t"]],
+           "comp": {"b": "t", "t": "b"}, "bot": "b", "top": "t"}
+    (d / "list-id.json").write_text(json.dumps(
+        dict(two, elements=[[0], "t"])))
+    (d / "int-ids.json").write_text(json.dumps(
+        {"elements": [0, 1], "leq": [[0, 1]], "comp": {"0": 1, "1": 0},
+         "bot": 0, "top": 1}))
     return d
 
 
@@ -207,10 +221,13 @@ def test_usage_error_exit_code(capsys):
     (["states", "b2.json"], "many", 2),
     (["check-map", "--system", "s", "b1.json", "unknown-key.json"], None, 1),
     (["property", "bell1-state", "pipe.json"], None, 1),
+    (["states", "list-id.json"], None, 1),
+    (["states", "int-ids.json"], None, 1),
 ], ids=["non-oml-property", "non-oml-states", "non-oml-check-map",
         "non-object-lattice", "order-triple", "order-triple-check-lattice",
         "cap-below-vertices", "cap-zero", "bad-max-elements",
-        "unknown-pair-key", "pipe-in-element-id"])
+        "unknown-pair-key", "pipe-in-element-id", "list-element-id",
+        "integer-element-ids"])
 def test_bad_input_exit_codes(files, capsys, monkeypatch, argv, env, code):
     # each input once escaped main() as a traceback or exited 0 or 2
     if env is not None:
@@ -256,3 +273,104 @@ def test_jauch_piron_payloads_unchanged(files, capsys, prop, tag):
     code, out, _ = run(capsys, "--json", "property", prop,
                        files / (tag + ".json"))
     assert (code, json.loads(out)) == JAUCH_PIRON_GOLDENS[prop, tag]
+
+
+@pytest.mark.parametrize("name", ["list-id", "int-ids"])
+def test_non_string_ids_are_invalid_lattices(files, capsys, name):
+    code, out, _ = run(capsys, "--json", "check-lattice",
+                       files / (name + ".json"))
+    data = json.loads(out)
+    assert (code, data["valid"]) == (1, False)
+    assert "is not a string" in data["error"]
+
+
+# --json payloads and exit codes of the Bell properties, pinned from the
+# dense two-phase tableau simplex the reduced-space simplex replaced:
+# (exit code, verdict, certificate max, sha256 of the sorted-key JSON
+# payload, first 16 hex digits)
+BELL_GOLDENS = {
+    ("bell1-state", "b2"): (0, "implied", "1", "b5d69941f6847e6a"),
+    ("bell1-state", "b3"): (0, "implied", "1", "aa5aa2e5bdc68a6f"),
+    ("bell1-state", "mo2"): (1, "violated", "2", "774bbf5a4dbdc807"),
+    ("bell1-state", "mo3"): (1, "violated", "2", "81b83a4e15f883f5"),
+    ("bell2-state", "b2"): (0, "implied", "1", "92b819182d7fc9c6"),
+    ("bell2-state", "b3"): (0, "implied", "1", "37d71c20fb19fbb1"),
+    ("bell2-state", "mo2"): (1, "violated", "2", "042e6708cfc94660"),
+    ("bell2-state", "mo3"): (1, "violated", "3", "8ee33672980319df"),
+    ("bell1-smap", "b2"): (0, "implied", "1", "e1c1777fb7bd036e"),
+    ("bell1-smap", "b3"): (0, "implied", "1", "279ca9b94445ea97"),
+    ("bell1-smap", "mo2"): (0, "implied", "1", "e6c6e5ebe69de35c"),
+    ("bell1-smap", "mo3"): (0, "implied", "1", "0c9309633bcf83c6"),
+    ("bell2-smap", "b2"): (0, "implied", "1", "28180c7f2e62e7a1"),
+    ("bell2-smap", "b3"): (0, "implied", "1", "b14cce9b675f5547"),
+    ("bell2-smap", "mo2"): (1, "violated", "3/2", "7cb73b56e45db544"),
+    ("bell2-smap", "mo3"): (1, "violated", "3/2", "b567e7f6563d2990"),
+}
+
+
+@pytest.mark.parametrize("prop,tag", sorted(BELL_GOLDENS))
+def test_bell_payloads_unchanged(files, capsys, prop, tag):
+    code, out, _ = run(capsys, "--json", "property", prop,
+                       files / (tag + ".json"))
+    data = json.loads(out)
+    digest = hashlib.sha256(
+        json.dumps(data, sort_keys=True).encode()).hexdigest()[:16]
+    assert (code, data["verdict"], data["certificate"]["max"],
+            digest) == BELL_GOLDENS[prop, tag], out
+
+
+# -- arbitrary JSON inputs: main() returns 0, 1 or 2 and never raises ----
+
+_IDS = ["0", "1", "a", "a'", "b", "b'", "x|y"]
+_scalars = (st.none() | st.booleans() | st.integers(-2, 2)
+            | st.sampled_from([0.5, "", "1/2", "2", "-1", "1/0"] + _IDS))
+_json = st.recursive(
+    _scalars,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.sampled_from(_IDS + ["lattice"]),
+                                     inner, max_size=4)),
+    max_leaves=12)
+_ids = st.sampled_from(_IDS) | _scalars
+# the keys of a lattice file, each holding a near-miss or arbitrary value
+_lattice_fields = {
+    "elements": st.lists(_ids, max_size=6) | _json,
+    "leq": st.lists(st.lists(_ids, max_size=3), max_size=6) | _json,
+    "covers": st.lists(st.lists(_ids, min_size=2, max_size=2), max_size=6),
+    "comp": st.dictionaries(st.sampled_from(_IDS), _ids, max_size=6) | _json,
+    "bot": _ids, "top": _ids, "extra": _json,
+}
+_lattices = (
+    _json
+    | st.fixed_dictionaries({}, optional=_lattice_fields)
+    # a valid lattice with one field replaced
+    | st.sampled_from(sorted(_lattice_fields)).flatmap(
+        lambda key: _lattice_fields[key].map(
+            lambda v: dict(lattice.mo(2).to_dict(), **{key: v}))))
+_maps = _json | st.fixed_dictionaries(
+    {"lattice": st.just("lattice.json"),
+     "values": st.dictionaries(
+         st.sampled_from(["%s|%s" % (x, y) for x in _IDS[:6]
+                          for y in _IDS[:6]] + ["a", "zz|q"]),
+         _scalars, max_size=40)})
+_argvs = st.sampled_from([
+    ["check-lattice", "L"], ["states", "L", "--vertices", "3"],
+    ["check-map", "--system", "s", "L", "M"],
+    ["check-map", "--system", "g", "L", "M"], ["classify-map", "L", "M"],
+    ["derive", "--what", "j", "L", "M"],
+    ["verify", "--identity", "gamma9", "L", "M"],
+    ["property", "bell1-state", "L"],
+])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_lattices, _maps, _argvs, st.booleans())
+def test_arbitrary_json_inputs_give_an_exit_code(lat, mp, argv, as_json):
+    with tempfile.TemporaryDirectory() as d:
+        paths = {"L": Path(d, "lattice.json"), "M": Path(d, "map.json")}
+        paths["L"].write_text(json.dumps(lat))
+        paths["M"].write_text(json.dumps(mp))
+        argv = [str(paths.get(a, a)) for a in argv]
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(["--json"] * as_json + argv)
+    assert code in (0, 1, 2)

@@ -1,11 +1,14 @@
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from omlprob import lattice, linear
-from omlprob.bimaps import smap_system
+from omlprob.analysis import bell1_state
+from omlprob.bimaps import pair_var, smap_system
 from omlprob.linear import (
     CapExceeded,
     Infeasible,
@@ -15,6 +18,7 @@ from omlprob.linear import (
     certify_implied,
     enumerate_vertices,
     maximize,
+    propagate_unit_box,
     satisfies,
     solve,
     with_premise,
@@ -221,3 +225,216 @@ def test_maximum_dominates_grid(i, j):
     if x + y <= 1:
         val, _ = maximize(triangle(), [F(2), F(3)])
         assert 2 * x + 3 * y <= val
+
+
+# -- the reduced-space simplex against oracles that share no code with it
+
+
+def brute_vertices(n, rows):
+    """Vertices of {x : a . x <= b for (a, b) in rows} over n variables:
+    every feasible point where n rows with nonzero determinant are
+    tight, each solved by Cramer's rule."""
+
+    def det(m):
+        return sum((-1) ** sum(p[i] > p[j] for i in range(n)
+                               for j in range(i + 1, n))
+                   * math.prod(m[i][p[i]] for i in range(n))
+                   for p in itertools.permutations(range(n)))
+
+    found = set()
+    for combo in itertools.combinations(rows, n):
+        a = [list(r) for r, _ in combo]
+        d = det(a)
+        if not d:
+            continue
+        x = tuple(F(det([row[:j] + [b] + row[j + 1:]
+                         for row, (_, b) in zip(a, combo)]), d)
+                  for j in range(n))
+        if all(sum(c * v for c, v in zip(r, x)) <= b for r, b in rows):
+            found.add(x)
+    return found
+
+
+@st.composite
+def boxed_lps(draw):
+    """The unit box in 1-3 variables, up to five random rows with small
+    integer data (so rows often meet in degenerate vertices), and an
+    objective."""
+    n = draw(st.integers(1, 3))
+    small = st.integers(-2, 2)
+    rows = []
+    for j in range(n):
+        rows.append((tuple(int(i == j) for i in range(n)), 1))
+        rows.append((tuple(-int(i == j) for i in range(n)), 0))
+    for _ in range(draw(st.integers(0, 5))):
+        rows.append((tuple(draw(small) for _ in range(n)),
+                     F(draw(small), draw(st.integers(1, 2)))))
+    obj = tuple(draw(st.integers(-3, 3)) for _ in range(n))
+    return n, rows, obj
+
+
+@settings(max_examples=300, deadline=None)
+@given(boxed_lps())
+def test_maximize_matches_vertex_oracle(lp):
+    n, rows, obj = lp
+    names = ["x%d" % j for j in range(n)]
+    sb = SystemBuilder(names)
+    for coeffs, rhs in rows:
+        sb.add_ineq(dict(zip(names, coeffs)), rhs)
+    sys = sb.build()
+    verts = brute_vertices(n, rows)
+    assert set(map(tuple, enumerate_vertices(sys))) == verts
+    if not verts:  # a bounded empty system
+        with pytest.raises(Infeasible):
+            maximize(sys, obj)
+        assert solve(sys).status == "empty"
+        return
+    val, point = maximize(sys, obj)
+    assert val == max(sum(c * v for c, v in zip(obj, x)) for x in verts)
+    assert satisfies(sys, point)
+    assert sum(c * v for c, v in zip(obj, point)) == val
+
+
+def test_beale_cycling_example_terminates():
+    # Beale (1955): the textbook largest-coefficient rule cycles on
+    # it; the optimum is 5/4 at x = (1, 0, 1, 0)
+    sb = SystemBuilder(["x4", "x5", "x6", "x7"])
+    sb.add_ineq({"x4": F(1, 4), "x5": -8, "x6": -1, "x7": 9}, 0)
+    sb.add_ineq({"x4": F(1, 2), "x5": -12, "x6": F(-1, 2), "x7": 3}, 0)
+    sb.add_ineq({"x6": 1}, 1)
+    for x in sb.vars:
+        sb.add_ineq({x: -1}, 0)
+    val, point = maximize(sb.build(), [F(3, 4), -20, F(1, 2), -6])
+    assert val == F(5, 4)
+    assert point == (1, 0, 1, 0)
+
+
+def test_infeasible_inequalities_detected():
+    # x <= 0 and x >= 1: elimination leaves both rows, phase 1 refutes
+    sb = SystemBuilder(["x", "y"])
+    sb.add_ineq({"x": 1}, 0)
+    sb.add_ineq({"x": -1}, -1)
+    sb.add_box("y")
+    sys = sb.build()
+    with pytest.raises(Infeasible):
+        maximize(sys, [F(0), F(1)])
+    assert solve(sys).status == "empty"
+    assert enumerate_vertices(sys) == []
+
+
+def test_rows_that_do_not_span_t_space():
+    # the strip |x - y| <= 1 holds the line x = y
+    sb = SystemBuilder(["x", "y"])
+    sb.add_ineq({"x": 1, "y": -1}, 1)
+    sb.add_ineq({"x": -1, "y": 1}, 1)
+    sys = sb.build()
+    with pytest.raises(Unbounded):
+        maximize(sys, [F(1), F(1)])
+    val, point = maximize(sys, [F(-2), F(2)])
+    assert val == 2 and satisfies(sys, point)
+    with pytest.raises(Unbounded):
+        enumerate_vertices(sys)
+
+
+def test_maximize_does_not_depend_on_earlier_calls():
+    mo3 = lattice.mo(3)
+    n = len(smap_system(mo3).vars)
+    targets = [[F((i + k) % 3 - 1) for i in range(n)] for k in range(4)]
+    fresh = [maximize(smap_system(mo3), c) for c in targets]
+    shared = smap_system(mo3)
+    for c in reversed(targets):
+        maximize(shared, c)
+    assert [maximize(shared, c) for c in targets] == fresh
+
+
+@pytest.mark.parametrize("l,verdict,top", [
+    (lattice.mo(8), "violated", "2"),
+    (lattice.boolean_algebra(5), "implied", "1"),
+], ids=["MO(8)", "2^5"])
+def test_bell1_state_closed_forms_at_size(l, verdict, top):
+    # [DERIVED] atoms of two blocks can both carry mass 1 and meet in
+    # 0; on 2^n, m(a) + m(b) - m(a^b) = m(a v b) <= 1
+    v = bell1_state(l)
+    assert (v.verdict, v.certificate["max"]) == (verdict, top)
+
+
+@pytest.mark.parametrize("l", [
+    lattice.boolean_algebra(3), lattice.boolean_algebra(4), lattice.mo(3),
+    lattice.horizontal_sum([lattice.boolean_algebra(3),
+                            lattice.boolean_algebra(2),
+                            lattice.boolean_algebra(2)]),
+], ids=["2^3", "2^4", "MO(3)", "HS3"])
+def test_solve_witness_is_relative_interior(l):
+    # [DERIVED] on these lattices every element but 0 and 1 has a
+    # two-valued state with m(x) = 1 and one with m(x) = 0, so the only
+    # box rows tight on the whole state space are those of 0 and 1
+    info = solve(state_system(l))
+    m = dict(zip(l.elements, info.witness))
+    assert satisfies(state_system(l), info.witness)
+    assert (m[l.bot], m[l.top]) == (0, 1)
+    assert all(0 < m[x] < 1 for x in l.elements if x not in (l.bot, l.top))
+
+
+# -- unit-box propagation against the full-rescan loop it replaced -------
+
+
+def rescan_propagate(sys, seed):
+    """propagate_unit_box as it was: every row, every pass, until a pass
+    pins nothing."""
+    known = dict(seed)
+    if any(not 0 <= v <= 1 for v in known.values()):
+        return None
+    changed = True
+    while changed:
+        changed = False
+        for terms, rhs in sys.sparse_eqs:
+            r = rhs
+            unknown = []
+            for j, c in terms:
+                v = known.get(j)
+                if v is None:
+                    unknown.append((j, c))
+                else:
+                    r -= c * v
+            if not unknown:
+                if r != 0:
+                    return None
+                continue
+            lo = sum(c for _, c in unknown if c < 0)
+            hi = sum(c for _, c in unknown if c > 0)
+            if not lo <= r <= hi:
+                return None
+            if len(unknown) == 1:
+                j, c = unknown[0]
+                v = r / c
+                if not 0 <= v <= 1:
+                    return None
+                known[j] = v
+                changed = True
+            elif r == lo:
+                for j, c in unknown:
+                    known[j] = F(1) if c < 0 else F(0)
+                changed = True
+            elif r == hi:
+                for j, c in unknown:
+                    known[j] = F(1) if c > 0 else F(0)
+                changed = True
+    return known
+
+
+@pytest.mark.parametrize("l", [
+    lattice.boolean_algebra(2), lattice.boolean_algebra(3), lattice.mo(2),
+    lattice.mo(3),
+    lattice.horizontal_sum([lattice.boolean_algebra(3),
+                            lattice.boolean_algebra(2),
+                            lattice.boolean_algebra(2)]),
+], ids=["2^2", "2^3", "MO(2)", "MO(3)", "HS3"])
+def test_worklist_propagation_matches_rescan(l):
+    # every premise seed jauch_piron_smap propagates
+    base = smap_system(l)
+    for i, a in enumerate(l.elements):
+        for b in l.elements[i:]:
+            seed = {base.index[pair_var(a, a)]: F(1),
+                    base.index[pair_var(b, b)]: F(1)}
+            assert (propagate_unit_box(base, seed)
+                    == rescan_propagate(base, seed)), (a, b)
