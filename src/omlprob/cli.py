@@ -117,6 +117,8 @@ def cmd_classify_map(args) -> int:
 
 
 def cmd_states(args) -> int:
+    if args.vertices < 0:
+        return _die("--vertices must be 0 or more")
     l = _load_lattice(args.lattice)
     system = states.state_system(l)  # reduced once, for both questions
     cls = states.classify_states(l, system)
@@ -193,6 +195,9 @@ def cmd_verify(args) -> int:
     except bimaps.UnsupportedFamily as e:
         _emit(args, {"ok": False, "unsupported": str(e)}, str(e))
         return FOUND
+    except bimaps.InvalidCorners as e:
+        _emit(args, {"ok": False, "error": str(e)}, str(e))
+        return FOUND
     if report.ok:
         _emit(args, {"ok": True, "identity": report.name},
               "%s: holds" % report.name)
@@ -232,6 +237,8 @@ def cmd_property(args) -> int:
 def cmd_search(args) -> int:
     if args.what != "pseudometric":
         return _die("only 'pseudometric' search is available")
+    if args.cap < 0:
+        return _die("--cap must be 0 or more")
     lattices = [_load_lattice(p) for p in args.lattices]
     report = analysis.search_pseudometric_violation(lattices, args.cap)
     payload = report.summary()
@@ -331,7 +338,7 @@ def main(argv=None) -> int:
         print("error: invalid lattice: %s" % e, file=sys.stderr)
         return FOUND
     except CapExceeded as e:
-        return _die("%s; raise --cap" % e)
+        return _die("vertex cap exceeded, %s; raise --cap" % e)
 
 
 if __name__ == "__main__":

@@ -15,8 +15,9 @@ rank one, in O(m.d), with no tableau or slack columns.  A dual simplex
 with zero objective finds one start vertex per Polytope (or proves it
 empty), and the Polytope keeps it; each objective runs the primal
 simplex from that vertex, so no result depends on earlier calls.  Both
-use Bland's rule and terminate.  The module keeps no state between
-calls.
+use Bland's rule and terminate.  Vertex enumeration walks every
+feasible basis those pivots reach from the start vertex.  The module
+keeps no state between calls.
 
 Intended for desk-scale instances (tens of variables); see the module
 users for the size discipline.
@@ -27,7 +28,6 @@ from __future__ import annotations
 import collections
 import copy
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -54,7 +54,7 @@ class CapExceeded(LinearError):
 
     def __init__(self, vertices):
         self.vertices = vertices
-        super().__init__("vertex cap exceeded (%d found)" % len(vertices))
+        super().__init__("more than %d vertices" % len(vertices))
 
 
 class Polytope:
@@ -71,7 +71,7 @@ class Polytope:
         self.eqs = tuple(eqs)
         self.ineqs = tuple(ineqs)
         n = len(self.vars)
-        for coeffs, _rhs in itertools.chain(self.eqs, self.ineqs):
+        for coeffs, _rhs in self.eqs + self.ineqs:
             if len(coeffs) != n:
                 raise LinearError("coefficient vector length mismatch")
         if _parent is None:
@@ -153,7 +153,6 @@ class PolyInfo:
     status: str                 # "empty" | "point" | "positive-dimensional"
     dim: int                    # -1 for empty
     witness: tuple | None       # one exact feasible point (vars order)
-    vertices: tuple | None = None
 
 
 @dataclass(frozen=True)
@@ -186,10 +185,8 @@ def _rref(rows):
     rows = [list(r) for r in rows]
     if not rows:
         return rows, []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for col in range(ncols):
+    pivots, r = [], 0
+    for col in range(len(rows[0])):
         pivot_row = None
         for i in range(r, len(rows)):
             if rows[i][col] != 0:
@@ -216,19 +213,6 @@ def _rref(rows):
     return rows[:r], pivots
 
 
-def solve_square(rows, rhs):
-    """Unique solution of a square system, or None if singular."""
-    n = len(rows)
-    aug = [list(rows[i]) + [rhs[i]] for i in range(n)]
-    red, pivots = _rref(aug)
-    if len(pivots) != n or n in pivots:
-        return None
-    sol = [ZERO] * n
-    for i, col in enumerate(pivots):
-        sol[col] = red[i][n]
-    return tuple(sol)
-
-
 class _Reduction(NamedTuple):
     """Equality-eliminated form: x = x0 + N t, with the inequalities as
     rows . t <= rhs.  basis holds the columns of N, one per free
@@ -250,9 +234,8 @@ def _solve_eqs(eqs, n):
     """
     aug = [list(coeffs) + [rhs] for coeffs, rhs in eqs]
     red, pivots = _rref(aug)
-    for row in red:
-        if all(x == 0 for x in row[:n]) and row[n] != 0:
-            return None
+    if any(row[n] and not any(row[:n]) for row in red):
+        return None
     free = [j for j in range(n) if j not in pivots]
     x0 = [ZERO] * n
     for i, col in enumerate(pivots):
@@ -528,6 +511,21 @@ def _start_vertex(red: _Reduction):
         b.pivot(k, e, b.column(k))
 
 
+def _entering(b: _Basis, gamma):
+    """Rows tied for the minimum ratio slack[r] / -gamma[r] as slot k of
+    b relaxes (gamma = b.column(k)), in index order; [] if none bounds."""
+    sign, tied = (1 if b.det > 0 else -1), []
+    for r, g in enumerate(gamma):
+        if g * sign < 0:
+            e = tied[0] if tied else r
+            cmp = b.slack[r] * gamma[e] - b.slack[e] * g  # > 0: r first
+            if cmp > 0:
+                tied = []
+            if cmp >= 0:
+                tied.append(r)
+    return tied
+
+
 def _max_t(start: _Basis, obj):
     """Maximize obj . t over the rows of start; (value, t).
 
@@ -555,15 +553,10 @@ def _max_t(start: _Basis, obj):
             return sum(c * x for c, x in zip(obj, t)), t
         k = min(out, key=b.basis.__getitem__)
         gamma = b.column(k)
-        enter = None
-        for r, g in enumerate(gamma):
-            # ratio slack[r] / -g, the step at which row r turns tight
-            if g * sign < 0 and (enter is None or b.slack[r] * gamma[enter]
-                                 > b.slack[enter] * g):
-                enter = r
-        if enter is None:
+        enter = _entering(b, gamma)
+        if not enter:
             raise Unbounded()
-        b.pivot(k, enter, gamma)
+        b.pivot(k, enter[0], gamma)
 
 
 # -- public operations ---------------------------------------------------
@@ -608,31 +601,38 @@ def solve(sys: Polytope) -> PolyInfo:
 def enumerate_vertices(sys: Polytope, cap: int = 10000):
     """All vertices of a bounded system, lexicographic by variable vector.
 
-    Naive basis enumeration over the deduplicated inequality rows in the
-    equality-reduced space.  Raises Unbounded if the feasible set has an
-    unbounded direction, CapExceeded (with the partial, sorted list
-    attached) if more than `cap` vertices exist.
+    A walk over feasible bases from the start vertex: each slot of each
+    basis relaxes in turn, and a copy pivots to every row tied in the
+    ratio test, unless that row set was seen.  Raises Unbounded if the
+    rows leave a line or a relaxed slot meets no row, CapExceeded (with
+    the partial, sorted list attached) if more than `cap` vertices exist.
     """
-    red = sys.reduced
-    if sys.start is None:
+    red, start = sys.reduced, sys.start
+    if start is None:
         return []
-    d = len(red.basis)
-    for j in range(d):
-        for sign in (ONE, -ONE):
-            obj = [ZERO] * d
-            obj[j] = sign
-            _max_t(sys.start, obj)  # raises Unbounded when appropriate
-
-    found = set()
-    rows, rhs = red.rows, red.rhs
-    for combo in itertools.combinations(range(len(rows)), d):
-        sol = solve_square([rows[i] for i in combo], [rhs[i] for i in combo])
-        if sol is not None and all(sum(c * x for c, x in zip(row, sol)) <= b
-                                   for row, b in zip(rows, rhs)):
-            found.add(sol)
-            if len(found) > cap:
-                raise CapExceeded(sorted(
-                    _lift(red.x0, red.basis, t) for t in found)[:cap])
+    # Every vertex is met: for an objective inside its normal cone,
+    # Bland's simplex from start reaches it by these pivots.  A pivot
+    # to any tied row is undone by one, so following every tie visits
+    # all feasible bases joined to start, whichever tie comes first.
+    found, seen, stack = set(), {frozenset(start.basis)}, [start]
+    while stack:
+        b = stack.pop()
+        for k, leaving in enumerate(b.basis):
+            gamma = b.column(k)
+            enter = _entering(b, gamma)
+            if not enter:  # also at a pin: the rows leave a line
+                raise Unbounded()
+            for e in enter:
+                key = frozenset(b.basis) - {leaving} | {e}
+                if key not in seen:
+                    seen.add(key)
+                    nxt = b.copy()
+                    nxt.pivot(k, e, gamma)
+                    stack.append(nxt)
+        found.add(b.point())
+        if len(found) > cap:
+            raise CapExceeded(sorted(
+                _lift(red.x0, red.basis, t) for t in found)[:cap])
     return sorted(_lift(red.x0, red.basis, t) for t in found)
 
 

@@ -32,6 +32,10 @@ def files(tmp_path_factory):
     (d / "triple.json").write_text(json.dumps(triple))
     g9 = build_table3_family(F(1, 3), F(2, 3), 0, 1, l=mo2)
     (d / "g9.json").write_text(g9.to_json("mo2.json"))
+    # a map on MO(2) whose corners are not all 0 or 1
+    (d / "half.json").write_text(json.dumps(
+        {"lattice": "mo2.json",
+         "values": {"%s|%s" % p: "1/2" for p in mo2.pairs()}}))
     b1 = lattice.boolean_algebra(1)
     (d / "b1.json").write_text(b1.to_json())
     # the s-map m(a^b) of 2^1's one state, plus a key naming no element
@@ -223,11 +227,15 @@ def test_usage_error_exit_code(capsys):
     (["property", "bell1-state", "pipe.json"], None, 1),
     (["states", "list-id.json"], None, 1),
     (["states", "int-ids.json"], None, 1),
+    (["verify", "--identity", "semantics", "mo2.json", "half.json"], None, 1),
+    (["states", "b2.json", "--vertices", "-1"], None, 2),
+    (["search", "pseudometric", "--cap", "-1", "b2.json"], None, 2),
 ], ids=["non-oml-property", "non-oml-states", "non-oml-check-map",
         "non-object-lattice", "order-triple", "order-triple-check-lattice",
         "cap-below-vertices", "cap-zero", "bad-max-elements",
         "unknown-pair-key", "pipe-in-element-id", "list-element-id",
-        "integer-element-ids"])
+        "integer-element-ids", "semantics-fractional-corners",
+        "negative-vertices", "negative-cap"])
 def test_bad_input_exit_codes(files, capsys, monkeypatch, argv, env, code):
     # each input once escaped main() as a traceback or exited 0 or 2
     if env is not None:
@@ -236,6 +244,26 @@ def test_bad_input_exit_codes(files, capsys, monkeypatch, argv, env, code):
                               for a in argv]) == code
     if code == 2:
         assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_vertex_cap_messages(files, capsys):
+    # the count is the cap that was passed, not how many were found
+    code, _, err = run(capsys, "search", "pseudometric", "--cap", "0",
+                       files / "b2.json")
+    assert (code, err) == (2, "error: vertex cap exceeded, more than 0 "
+                              "vertices; raise --cap\n")
+    code, _, err = run(capsys, "search", "pseudometric", "--cap", "-1",
+                       files / "b2.json")
+    assert (code, err) == (2, "error: --cap must be 0 or more\n")
+
+
+def test_verify_semantics_with_fractional_corners(files, capsys):
+    code, out, _ = run(capsys, "--json", "verify", "--identity",
+                       "semantics", files / "mo2.json", files / "half.json")
+    assert code == 1
+    assert json.loads(out) == {
+        "ok": False,
+        "error": "corners ['1/2', '1/2', '1/2', '1/2'] are not all in {0, 1}"}
 
 
 # --json payloads and exit codes of the Jauch-Piron properties, pinned
@@ -358,6 +386,7 @@ _argvs = st.sampled_from([
     ["check-map", "--system", "g", "L", "M"], ["classify-map", "L", "M"],
     ["derive", "--what", "j", "L", "M"],
     ["verify", "--identity", "gamma9", "L", "M"],
+    ["verify", "--identity", "semantics", "L", "M"],
     ["property", "bell1-state", "L"],
 ])
 

@@ -145,6 +145,7 @@ def test_vertices_cap():
     with pytest.raises(CapExceeded) as e:
         enumerate_vertices(unit_square(), 2)
     assert len(e.value.vertices) == 2
+    assert str(e.value) == "more than 2 vertices"
 
 
 def test_vertices_unbounded_refused():
@@ -344,6 +345,8 @@ def test_maximize_does_not_depend_on_earlier_calls():
     shared = smap_system(mo3)
     for c in reversed(targets):
         maximize(shared, c)
+    with pytest.raises(CapExceeded):  # the walk pivots copies of start
+        enumerate_vertices(shared, 1)
     assert [maximize(shared, c) for c in targets] == fresh
 
 
@@ -438,3 +441,68 @@ def test_worklist_propagation_matches_rescan(l):
                     base.index[pair_var(b, b)]: F(1)}
             assert (propagate_unit_box(base, seed)
                     == rescan_propagate(base, seed)), (a, b)
+
+
+# -- the basis walk against the subset enumeration it replaced -----------
+
+
+def solve_square(rows, rhs):
+    """Unique solution of a square system, or None if singular."""
+    n = len(rows)
+    aug = [list(rows[i]) + [rhs[i]] for i in range(n)]
+    red, pivots = linear._rref(aug)
+    if len(pivots) != n or n in pivots:
+        return None
+    sol = [F(0)] * n
+    for i, col in enumerate(pivots):
+        sol[col] = red[i][n]
+    return tuple(sol)
+
+
+def subset_vertices(sys):
+    """enumerate_vertices as it was: every d-subset of the reduced rows
+    solved from scratch and kept when feasible.  Its probe LPs for an
+    unbounded direction are left out; every system here is bounded."""
+    red = sys.reduced
+    if sys.start is None:
+        return []
+    found = set()
+    rows, rhs = red.rows, red.rhs
+    for combo in itertools.combinations(range(len(rows)), len(red.basis)):
+        sol = solve_square([rows[i] for i in combo], [rhs[i] for i in combo])
+        if sol is not None and all(sum(c * x for c, x in zip(row, sol)) <= b
+                                   for row, b in zip(rows, rhs)):
+            found.add(sol)
+    return sorted(linear._lift(red.x0, red.basis, t) for t in found)
+
+
+_B, _MO = lattice.boolean_algebra, lattice.mo
+
+
+@pytest.mark.parametrize("system,l", [
+    *[(state_system, _B(n)) for n in (2, 3, 4, 5)],
+    *[(state_system, _MO(n)) for n in (2, 3, 4, 5, 6)],
+    (state_system, lattice.horizontal_sum([_B(3), _B(2), _B(2)])),
+    *[(smap_system, l) for l in (_B(2), _B(3), _MO(2))],
+], ids=["states-2^2", "states-2^3", "states-2^4", "states-2^5",
+        "states-MO(2)", "states-MO(3)", "states-MO(4)", "states-MO(5)",
+        "states-MO(6)", "states-HS3", "smaps-2^2", "smaps-2^3",
+        "smaps-MO(2)"])
+def test_walk_matches_subset_enumeration(system, l):
+    sys = system(l)
+    assert enumerate_vertices(sys) == subset_vertices(sys)
+
+
+def test_mo10_state_vertices_are_the_cube():
+    # [DERIVED] a state of MO(n) splits mass 1 between x and x' in each
+    # block, independently: the n-cube, with a vertex for each choice of
+    # the element of mass 1 in every block (the subset enumeration
+    # would solve C(20, 10) = 184756 systems)
+    l = _MO(10)
+    atoms = [x for x in l.elements
+             if x not in (l.bot, l.top) and "'" not in x]
+    cube = set()
+    for ones in itertools.product(*[(x, x + "'") for x in atoms]):
+        cube.add(tuple(F(x in ones or x == l.top) for x in l.elements))
+    verts = enumerate_vertices(state_system(l), 1024)
+    assert len(cube) == 1024 and set(verts) == cube
