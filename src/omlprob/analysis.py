@@ -17,8 +17,8 @@ from fractions import Fraction
 from .bimaps import BiMap, pair_var, smap_system
 from .lattice import Oml
 from .linear import (Polytope, SystemBuilder, certify_implied,
-                     enumerate_vertices, functional_on, maximize,
-                     propagate_unit_box, with_premise, Infeasible)
+                     enumerate_vertices, first_violation, functional_on,
+                     maximize, propagate_unit_box, with_premise, Infeasible)
 from .rational import fmt_rat
 from .states import StateFn, state_system
 
@@ -107,42 +107,36 @@ def bell1_smap(l: Oml) -> PropertyVerdict:
     return _bell("bell1-smap", l, smap_system(l), 2, pair_var)
 
 
-def _triples(l: Oml):
-    return itertools.product(l.elements, repeat=3)
-
-
 def bell2_state(l: Oml) -> PropertyVerdict:
     """m(a)+m(b)+m(c) - m(a^b) - m(a^c) - m(c^b) <= 1, all triples."""
     return _bell("bell2-state", l, state_system(l), 3, l.meet)
 
 
-def _pseudometric_constraints(sb: SystemBuilder, l: Oml):
-    """Linear symmetry + triangle constraints on d_p(a,b)=p(a,b')+p(a',b)."""
-    oc = l.ocomp
-
-    def d_terms(a, b, sign):
-        return [(pair_var(a, oc(b)), sign), (pair_var(oc(a), b), sign)]
-
+def _pseudometric_rows(l: Oml):
+    """d(a, a) = 0, d(a, b) = d(b, a) for a before b, and the triangle
+    d(a, b) <= d(a, c) + d(c, b) over all triples, as rows over pair
+    keys.  A symmetry failure at (b, a) is one at (a, b), so a checker
+    meets the same first failing pair as over all ordered pairs."""
+    for a in l.elements:
+        yield "zero-diagonal", (a,), (a, a), (), (), ZERO, False
     for i, a in enumerate(l.elements):
         for b in l.elements[i + 1:]:
-            coeffs = {}
-            for var, s in d_terms(a, b, 1) + d_terms(b, a, -1):
-                coeffs[var] = coeffs.get(var, 0) + s
-            sb.add_eq(coeffs, 0)
-    for a, b, c in _triples(l):
-        coeffs = {}
-        for var, s in (d_terms(a, b, 1) + d_terms(a, c, -1)
-                       + d_terms(c, b, -1)):
-            coeffs[var] = coeffs.get(var, 0) + s
-        sb.add_ineq(coeffs, 0)
+            yield "symmetry", (a, b), (a, b), ((b, a),), (), ZERO, False
+    for a, b, c in itertools.product(l.elements, repeat=3):
+        yield ("triangle", (a, b, c), (a, b), ((a, c), (c, b)), (), ZERO,
+               True)
 
 
 def _smap_system_with_pseudometric(l: Oml) -> Polytope:
+    """The s-map system plus the pseudometric rows on
+    d_p(a, b) = p(a, b') + p(a', b)."""
     base = smap_system(l)
     sb = SystemBuilder(base.vars)
     sb.eqs = list(base.eqs)
     sb.ineqs = list(base.ineqs)
-    _pseudometric_constraints(sb, l)
+    oc = l.ocomp
+    sb.add_rows(_pseudometric_rows(l), lambda pair: (
+        pair_var(pair[0], oc(pair[1])), pair_var(oc(pair[0]), pair[1])))
     return sb.build()
 
 
@@ -179,11 +173,16 @@ def jauch_piron_state(l: Oml) -> PropertyVerdict:
     """m(a) = m(b) = 1  =>  m(a^b) = 1, decided by exact minimization.
 
     For each pair, minimizes m(a^b) over the states satisfying the
-    premise; a minimum below 1 is a violation witness.
+    premise; a minimum below 1 is a violation witness.  The pair (b, a)
+    has the premise and minimum of (a, b), so only pairs with a no later
+    than b are solved; the witness is the first pair, in product order,
+    attaining the least minimum, as over all ordered pairs.
     """
     base = state_system(l)
     worst = None
-    for a, b in l.pairs():
+    pairs = ((a, b) for i, a in enumerate(l.elements)
+             for b in l.elements[i:])
+    for a, b in pairs:
         sys = _with_premise(base, [({a: 1}, 1), ({b: 1}, 1)])
         try:
             negmin, point = maximize(sys, _coeff_vec(sys, {l.meet(a, b): -1}))
@@ -302,17 +301,10 @@ class PseudometricVerdict:
 
 def is_pseudometric(D: BiMap) -> PseudometricVerdict:
     """d(a,a) = 0, symmetry, triangle inequality, over all triples."""
-    l = D.lattice
-    for a in l.elements:
-        if D(a, a) != 0:
-            return PseudometricVerdict(False, "zero-diagonal", (a,))
-    for a, b in l.pairs():
-        if D(a, b) != D(b, a):
-            return PseudometricVerdict(False, "symmetry", (a, b))
-    for a, b, c in _triples(l):
-        if D(a, b) > D(a, c) + D(c, b):
-            return PseudometricVerdict(False, "triangle", (a, b, c))
-    return PseudometricVerdict(True)
+    hit = first_violation(_pseudometric_rows(D.lattice), D._map.__getitem__)
+    if hit is None:
+        return PseudometricVerdict(True)
+    return PseudometricVerdict(False, hit[0], hit[1])
 
 
 @dataclass(frozen=True)

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import itertools
 import json
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lattice import Oml, load_lattice
-from .linear import Polytope, SystemBuilder
+from .lattice import Oml
+from .linear import Polytope, SystemBuilder, first_violation
 from .rational import fmt_rat, parse_rat
 from .states import StateFn
 
@@ -116,19 +115,6 @@ def bimap_from_json(text: str, l: Oml) -> BiMap:
     return BiMap.from_dict(l, values)
 
 
-def load_bimap(path: str, l: Oml | None = None) -> BiMap:
-    """Load a map file; the lattice it references is resolved relative
-    to the map file unless one is passed in."""
-    with open(path, "r", encoding="utf-8") as f:
-        data = json.load(f)
-    if l is None:
-        ref = data.get("lattice")
-        if not ref:
-            raise BiMapError("map file names no lattice")
-        l = load_lattice(os.path.join(os.path.dirname(path) or ".", ref))
-    return bimap_from_json(json.dumps(data), l)
-
-
 # -- axiom checkers ------------------------------------------------------
 
 
@@ -188,26 +174,28 @@ _TABLES = {
 
 
 def _axiom_rows(system: str, l: Oml):
-    """The axiom rows of one system on l, in checking order.
-
-    A row (axiom, elements, pair, plus, minus, const) states
-    M(pair) = sum M(plus) - sum M(minus) + const.  Only (x1) rows have
-    a nonzero const, and they have no terms.  A G1 row has const None:
-    its corner must be 0 or 1.
-    """
+    """The axiom rows (see linear.first_violation) of one system on l,
+    over pair keys, in checking order.  Only (x1) rows have a nonzero
+    const, and they have no terms; a G1 row has const None."""
     _name, (x1, x2, row3, col3), unit, split, offset = _TABLES[system]
     for pair, const in unit(l):
-        yield x1, pair, pair, (), (), const
+        yield x1, pair, pair, (), (), const, False
     offsets = [(c, offset(l, c)) for c in l.elements]
     for a, b in l.orthogonal_pairs():
         for x, y in ((a, b), (b, a)):
             plus, minus = split(l, x, y)
-            yield x2, (x, y), (x, y), plus, minus, ZERO
+            yield x2, (x, y), (x, y), plus, minus, ZERO, False
         j = l.join(a, b)
         for c, (row_off, col_off) in offsets:
             elems = (a, b, c)
-            yield row3, elems, (j, c), ((a, c), (b, c)), row_off, ZERO
-            yield col3, elems, (c, j), ((c, a), (c, b)), col_off, ZERO
+            yield row3, elems, (j, c), ((a, c), (b, c)), row_off, ZERO, False
+            yield col3, elems, (c, j), ((c, a), (c, b)), col_off, ZERO, False
+
+
+def _report(name: str, rows, M: BiMap):
+    """(name, ok, first violation) of M against the rows."""
+    hit = first_violation(rows, M._map.__getitem__)
+    return name, hit is None, hit and Violation(*hit)
 
 
 def check_map(system: str, M: BiMap) -> AxiomReport:
@@ -215,24 +203,8 @@ def check_map(system: str, M: BiMap) -> AxiomReport:
     the first axiom row whose two sides differ on M, with both values."""
     if system not in _TABLES:
         raise BiMapError("unknown axiom system %r" % system)
-    value = M._map.__getitem__
-    for axiom, elems, pair, plus, minus, const in _axiom_rows(system,
-                                                              M.lattice):
-        lhs = value(pair)
-        if plus:  # rows with terms have const 0
-            rhs = value(plus[0])
-            for p in plus[1:]:
-                rhs += value(p)
-            for p in minus:
-                rhs -= value(p)
-        elif const is None:  # G1: v in {0, 1}
-            lhs, rhs = lhs * (lhs - ONE), ZERO
-        else:
-            rhs = const
-        if lhs != rhs:
-            return AxiomReport(_TABLES[system][0], False,
-                               Violation(axiom, elems, lhs, rhs))
-    return AxiomReport(_TABLES[system][0], True)
+    return AxiomReport(*_report(_TABLES[system][0],
+                                _axiom_rows(system, M.lattice), M))
 
 
 def check_s_map(P: BiMap) -> AxiomReport:
@@ -440,57 +412,53 @@ def verify_gamma9_identities(G: BiMap) -> IdentityReport:
     return _identity_report("gamma9-identities", checks())
 
 
-# the connective each family's value realizes on compatible pairs, plus
-# how its induced state reads off the map
-def _semantic_target(G: BiMap, gamma: int, a: str, b: str) -> Fraction:
-    l = G.lattice
-    meet, join, oc = l.meet, l.join, l.ocomp
+def _xor(l: Oml, a: str, b: str) -> str:
+    """(a <=> b)' = (a ^ b') v (a' ^ b)."""
+    return l.join(l.meet(a, l.ocomp(b)), l.meet(l.ocomp(a), b))
 
-    def m_diag(x):       # Gamma2 / Gamma3: diagonal state
-        return G(x, x)
 
-    def m_diag_c(x):     # Gamma5 / Gamma6: diagonal of 1-G
-        return ONE - G(x, x)
+def _diag(l, x):
+    return x, x
 
-    def m_left(x):       # Gamma4 / Gamma9: left margin at 0
-        return G(x, l.bot)
 
-    def m_left_c(x):     # Gamma7 / Gamma11
-        return ONE - G(x, l.bot)
+def _left(l, x):
+    return x, l.bot
 
-    def m_right(x):      # Gamma10
-        return G(l.bot, x)
 
-    def m_right_c(x):    # Gamma12
-        return ONE - G(l.bot, x)
+def _right(l, x):
+    return l.bot, x
 
-    xor = join(meet(a, oc(b)), meet(oc(a), b))   # (a <=> b)'
-    iff = oc(xor)
-    if gamma == 1:
-        return ZERO
-    if gamma == 2:
-        return m_diag(meet(a, b))
-    if gamma == 3:
-        return m_diag(join(a, b))
-    if gamma == 4:
-        return m_left(xor)
-    if gamma == 5:
-        return m_diag_c(join(oc(a), oc(b)))
-    if gamma == 6:
-        return m_diag_c(meet(oc(a), oc(b)))
-    if gamma == 7:
-        return m_left_c(iff)
-    if gamma == 8:
-        return ONE
-    if gamma == 9:
-        return m_left(a)
-    if gamma == 10:
-        return m_right(b)
-    if gamma == 11:
-        return m_left_c(oc(a))
-    if gamma == 12:
-        return m_right_c(oc(b))
-    raise UnsupportedFamily("no connective semantics for Gamma%d" % gamma)
+
+# Gamma -> (c, read, connective): on a compatible pair (a, b) the family
+# takes the value m(connective(a, b)) for c = 0 and 1 - m(...) for c = 1,
+# where m(x) = G(read(x)) is the state induced on the diagonal (Gamma2,
+# 3, 5, 6), the left margin (4, 7, 9, 11) or the right margin (10, 12).
+# Gamma1 and Gamma8 read nothing: they are the constants 0 and 1.
+_SEMANTICS = {
+    1: (ZERO, None, None),
+    2: (ZERO, _diag, lambda l, a, b: l.meet(a, b)),
+    3: (ZERO, _diag, lambda l, a, b: l.join(a, b)),
+    4: (ZERO, _left, _xor),
+    5: (ONE, _diag, lambda l, a, b: l.join(l.ocomp(a), l.ocomp(b))),
+    6: (ONE, _diag, lambda l, a, b: l.meet(l.ocomp(a), l.ocomp(b))),
+    7: (ONE, _left, lambda l, a, b: l.ocomp(_xor(l, a, b))),
+    8: (ONE, None, None),
+    9: (ZERO, _left, lambda l, a, b: a),
+    10: (ZERO, _right, lambda l, a, b: b),
+    11: (ONE, _left, lambda l, a, b: l.ocomp(a)),
+    12: (ONE, _right, lambda l, a, b: l.ocomp(b)),
+}
+
+
+def _semantic_rows(l: Oml, gamma: int):
+    """One row per compatible pair: G(a, b) equals the family's value."""
+    const, read, connective = _SEMANTICS[gamma]
+    label = "semantics-gamma%d" % gamma
+    for a, b in l.pairs():
+        if l.compatible(a, b) and l.compatible(b, a):
+            term = (read(l, connective(l, a, b)),) if read else ()
+            plus, minus = ((), term) if const else (term, ())
+            yield label, (a, b), (a, b), plus, minus, const, False
 
 
 def semantic_check_on_compatible(G: BiMap) -> IdentityReport:
@@ -499,18 +467,11 @@ def semantic_check_on_compatible(G: BiMap) -> IdentityReport:
 
     Raises UnsupportedFamily for Gamma 13-16.
     """
-    l = G.lattice
     gamma = classify_family(G).gamma
-    if gamma > 12:
+    if gamma not in _SEMANTICS:
         raise UnsupportedFamily("no connective semantics for Gamma%d" % gamma)
-
-    def checks():
-        for a, b in l.pairs():
-            if l.compatible(a, b) and l.compatible(b, a):
-                yield ("semantics-gamma%d" % gamma, (a, b), G(a, b),
-                       _semantic_target(G, gamma, a, b))
-
-    return _identity_report("semantics", checks())
+    return IdentityReport(*_report("semantics",
+                                   _semantic_rows(G.lattice, gamma), G))
 
 
 # -- axiom systems as linear constraints ---------------------------------
@@ -527,15 +488,9 @@ def _system(system: str, l: Oml, corners=()) -> Polytope:
     sb = SystemBuilder([pair_var(a, b) for a, b in l.pairs()])
     for a, b in l.pairs():
         sb.add_box(pair_var(a, b))
-    pins = iter(corners)
     # row[0][1] is the axiom number: "s3", "G3-row" -> "3"
     rows = sorted(_axiom_rows(system, l), key=lambda row: row[0][1])
-    for _axiom, _elems, pair, plus, minus, const in rows:
-        coeffs = {pair_var(*pair): 1}
-        for p, sign in [(p, -1) for p in plus] + [(p, 1) for p in minus]:
-            var = pair_var(*p)
-            coeffs[var] = coeffs.get(var, 0) + sign
-        sb.add_eq(coeffs, next(pins) if const is None else const)
+    sb.add_rows(rows, lambda pair: (pair_var(*pair),), corners)
     return sb.build()
 
 

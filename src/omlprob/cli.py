@@ -26,21 +26,27 @@ def _emit(args, payload: dict, human: str) -> None:
         print(human)
 
 
-def _load_lattice(path: str) -> lattice.Oml:
+def _load(kind: str, path: str, parse):
+    """parse applied to the text of a lattice or map file.  A file that
+    cannot be read, is not UTF-8 or JSON, holds a non-rational value or
+    nests too deep exits 2; an invalid map exits 1.  A LatticeError
+    propagates: check-lattice reports it as a payload, main on stderr."""
     try:
-        return lattice.load_lattice(path)
-    except (OSError, json.JSONDecodeError) as e:
-        raise SystemExit(_die("cannot read lattice %s: %s" % (path, e)))
+        with open(path, "r", encoding="utf-8") as f:
+            return parse(f.read())
+    except (OSError, ValueError, RecursionError) as e:
+        raise SystemExit(_die("cannot read %s %s: %s" % (kind, path, e)))
+    except bimaps.BiMapError as e:
+        print("error: invalid %s %s: %s" % (kind, path, e), file=sys.stderr)
+        raise SystemExit(FOUND)
+
+
+def _load_lattice(path: str) -> lattice.Oml:
+    return _load("lattice", path, lattice.lattice_from_json)
 
 
 def _load_map(path: str, l: lattice.Oml) -> bimaps.BiMap:
-    try:
-        return bimaps.load_bimap(path, l)
-    except (OSError, json.JSONDecodeError, ValueError) as e:
-        raise SystemExit(_die("cannot read map %s: %s" % (path, e)))
-    except bimaps.BiMapError as e:
-        print("error: invalid map %s: %s" % (path, e), file=sys.stderr)
-        raise SystemExit(FOUND)
+    return _load("map", path, lambda text: bimaps.bimap_from_json(text, l))
 
 
 def _die(msg: str) -> int:
@@ -53,14 +59,7 @@ def _die(msg: str) -> int:
 
 def cmd_check_lattice(args) -> int:
     try:
-        with open(args.lattice, "r", encoding="utf-8") as f:
-            text = f.read()
-    except OSError as e:
-        return _die(str(e))
-    try:
-        l = lattice.lattice_from_json(text)
-    except json.JSONDecodeError as e:
-        return _die("bad JSON: %s" % e)
+        l = _load_lattice(args.lattice)
     except lattice.LatticeError as e:
         _emit(args, {"valid": False, "error": str(e)}, "INVALID: %s" % e)
         return FOUND
@@ -75,10 +74,7 @@ def cmd_check_lattice(args) -> int:
 def cmd_check_map(args) -> int:
     l = _load_lattice(args.lattice)
     M = _load_map(args.map, l)
-    try:
-        report = bimaps.check_map(args.system, M)
-    except bimaps.BiMapError as e:
-        return _die(str(e))
+    report = bimaps.check_map(args.system, M)
     payload = {"system": report.system, "ok": report.ok}
     if report.ok:
         human = "valid %s" % report.system

@@ -347,11 +347,6 @@ def lattice_from_json(text: str) -> Oml:
     return validate_oml(data)
 
 
-def load_lattice(path: str) -> Oml:
-    with open(path, "r", encoding="utf-8") as f:
-        return lattice_from_json(f.read())
-
-
 # -- generators ----------------------------------------------------------
 
 _ATOM_LETTERS = string.ascii_lowercase

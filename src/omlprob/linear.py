@@ -125,22 +125,37 @@ class SystemBuilder:
         self.eqs = []
         self.ineqs = []
 
-    def _row(self, coeffs: dict):
+    def _row(self, terms):
+        """The coefficient vector of (name, coeff) terms; the
+        coefficients of a name that recurs are summed."""
         row = [ZERO] * len(self.vars)
-        for name, c in coeffs.items():
+        for name, c in terms:
             row[self._index[name]] += Fraction(c)
         return tuple(row)
 
     def add_eq(self, coeffs: dict, rhs):
-        self.eqs.append((self._row(coeffs), Fraction(rhs)))
+        self.eqs.append((self._row(coeffs.items()), Fraction(rhs)))
 
     def add_ineq(self, coeffs: dict, rhs):
         """coeff . x <= rhs"""
-        self.ineqs.append((self._row(coeffs), Fraction(rhs)))
+        self.ineqs.append((self._row(coeffs.items()), Fraction(rhs)))
 
     def add_box(self, name, lo=ZERO, hi=ONE):
         self.add_ineq({name: 1}, hi)
         self.add_ineq({name: -1}, -Fraction(lo))
+
+    def add_rows(self, rows, terms, pins=()):
+        """Axiom rows (see first_violation) as constraints, in order:
+        an equality per row, or coeff . x <= rhs for a row with le set.
+        terms(key) names the variables whose sum is value(key), and a
+        row with const None takes the next value of pins as its rhs."""
+        pins = iter(pins)
+        for _axiom, _elems, key, plus, minus, const, le in rows:
+            row = self._row([(v, 1) for v in terms(key)]
+                            + [(v, -1) for p in plus for v in terms(p)]
+                            + [(v, 1) for p in minus for v in terms(p)])
+            rhs = Fraction(next(pins) if const is None else const)
+            (self.ineqs if le else self.eqs).append((row, rhs))
 
     def build(self) -> Polytope:
         return Polytope(self.vars, self.eqs, self.ineqs)
@@ -165,14 +180,44 @@ class Certification:
     counterexample: tuple | None  # == argmax when not implied
 
 
+def first_violation(rows, value):
+    """The first row that value breaks, as (axiom, elements, lhs, rhs),
+    or None when it keeps them all.
+
+    A row (axiom, elements, key, plus, minus, const, le) states
+    value(key) = sum value(plus) - sum value(minus) + const, or <= when
+    le is set; lhs and rhs are its two sides.  A row with const None
+    states that value(key) is 0 or 1: its sides are v (v - 1) and 0.
+    The same rows give linear constraints through
+    SystemBuilder.add_rows.
+    """
+    for axiom, elems, key, plus, minus, const, le in rows:
+        lhs = value(key)
+        if const is None:
+            lhs, rhs = lhs * (lhs - ONE), ZERO
+        elif plus:  # start from the first term: no "0 +" on most rows
+            rhs = value(plus[0])
+            for p in plus[1:]:
+                rhs += value(p)
+            if const:
+                rhs += const
+        else:
+            rhs = const
+        for p in minus:
+            rhs -= value(p)
+        if (lhs > rhs) if le else (lhs != rhs):
+            return axiom, elems, lhs, rhs
+    return None
+
+
 def satisfies(sys: Polytope, point) -> bool:
     """Exact membership test: every constraint holds with zero tolerance."""
     point = tuple(Fraction(x) for x in point)
     for coeffs, rhs in sys.eqs:
-        if sum(c * x for c, x in zip(coeffs, point)) != rhs:
+        if sum(c * x for c, x in zip(coeffs, point) if c) != rhs:
             return False
     for coeffs, rhs in sys.ineqs:
-        if sum(c * x for c, x in zip(coeffs, point)) > rhs:
+        if sum(c * x for c, x in zip(coeffs, point) if c) > rhs:
             return False
     return True
 

@@ -7,7 +7,7 @@ def parse_rat(text) -> Fraction:
     """Parse "p/q" (or a plain integer string) into a Fraction."""
     if isinstance(text, Fraction):
         return text
-    if isinstance(text, int):
+    if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
     if not isinstance(text, str):
         raise ValueError("rational must be a 'p/q' string, got %r" % (text,))

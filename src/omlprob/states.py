@@ -1,4 +1,10 @@
-"""States on finite OMLs: validation, the state polytope, classification."""
+"""States on finite OMLs: validation, the state polytope, classification.
+
+The state axioms are one list of rows (_state_rows, in the row form of
+linear.first_violation): validate_state checks a candidate against
+them and state_system turns them into the equalities of the state
+polytope.
+"""
 
 from __future__ import annotations
 
@@ -8,8 +14,11 @@ from fractions import Fraction
 
 from .lattice import Oml
 from .linear import (PolyInfo, Polytope, SystemBuilder, enumerate_vertices,
-                     solve)
+                     first_violation, solve)
 from .rational import fmt_rat, parse_rat
+
+ZERO = Fraction(0)
+ONE = Fraction(1)
 
 
 class StateError(Exception):
@@ -74,25 +83,33 @@ def state_from_json(l: Oml, text: str) -> StateFn:
     return StateFn.from_dict(l, {x: parse_rat(v) for x, v in data.items()})
 
 
+def _state_rows(l: Oml):
+    """m(0) = 0, m(1) = 1, then m(a v b) = m(a) + m(b) over every
+    orthogonal pair, as rows over element keys."""
+    yield "bot", (l.bot,), l.bot, (), (), ZERO, False
+    yield "top", (l.top,), l.top, (), (), ONE, False
+    for a, b in l.orthogonal_pairs():
+        yield "additivity", (a, b), l.join(a, b), (a, b), (), ZERO, False
+
+
 def validate_state(l: Oml, s: StateFn) -> None:
     """Check the state axioms exhaustively; raise on the first violation.
 
-    (i) m(1) = 1 (and hence m(0) = 0 is also enforced), values in [0,1];
-    (ii) additivity m(a v b) = m(a) + m(b) over every orthogonal pair.
+    Values outside [0, 1] raise OutOfRange, before any row is read;
+    then the first broken row of _state_rows raises NotNormalized
+    (m(0) = 0, m(1) = 1) or AdditivityFailure.
     """
-    m = s.as_dict()
     for x in l.elements:
-        if not 0 <= m[x] <= 1:
-            raise OutOfRange(x, m[x])
-    if m[l.top] != 1:
-        raise NotNormalized("m(top) = %s != 1" % fmt_rat(m[l.top]))
-    if m[l.bot] != 0:
-        raise NotNormalized("m(bot) = %s != 0" % fmt_rat(m[l.bot]))
-    for a, b in l.orthogonal_pairs():
-        lhs = m[l.join(a, b)]
-        rhs = m[a] + m[b]
-        if lhs != rhs:
-            raise AdditivityFailure(a, b, lhs, rhs)
+        if not 0 <= s(x) <= 1:
+            raise OutOfRange(x, s(x))
+    hit = first_violation(_state_rows(l), s)
+    if hit is None:
+        return
+    axiom, elems, lhs, rhs = hit
+    if axiom == "additivity":
+        raise AdditivityFailure(*elems, lhs, rhs)
+    raise NotNormalized("m(%s) = %s != %s" % (axiom, fmt_rat(lhs),
+                                               fmt_rat(rhs)))
 
 
 def is_state(l: Oml, s: StateFn) -> bool:
@@ -106,19 +123,12 @@ def is_state(l: Oml, s: StateFn) -> bool:
 def state_system(l: Oml) -> Polytope:
     """The state axioms as a linear system, one variable per element.
 
-    Additivity equalities are generated for all orthogonal pairs (the
-    solver removes the redundancy), plus m(bot) = 0, m(top) = 1 and the
-    unit box on every variable.
+    The rows of _state_rows become equalities (additivity over all
+    orthogonal pairs; the solver removes the redundancy), and every
+    variable gets the unit box.
     """
     sb = SystemBuilder(l.elements)
-    sb.add_eq({l.bot: 1}, 0)
-    sb.add_eq({l.top: 1}, 1)
-    for a, b in l.orthogonal_pairs():
-        j = l.join(a, b)
-        coeffs = {j: Fraction(1)}
-        coeffs[a] = coeffs.get(a, Fraction(0)) - 1
-        coeffs[b] = coeffs.get(b, Fraction(0)) - 1
-        sb.add_eq(coeffs, 0)
+    sb.add_rows(_state_rows(l), lambda x: (x,))
     for x in l.elements:
         sb.add_box(x)
     return sb.build()

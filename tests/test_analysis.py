@@ -1,6 +1,10 @@
+import hashlib
 from fractions import Fraction
 
+import pytest
+
 from omlprob.analysis import (
+    _smap_system_with_pseudometric,
     bell1_smap,
     bell1_state,
     bell2_smap,
@@ -10,8 +14,8 @@ from omlprob.analysis import (
     jauch_piron_state,
     search_pseudometric_violation,
 )
-from omlprob.bimaps import BiMap, derive_d_from_s, smap_system
-from omlprob.linear import enumerate_vertices
+from omlprob.bimaps import BiMap, derive_d_from_s, pair_var, smap_system
+from omlprob.linear import enumerate_vertices, maximize, satisfies
 from omlprob.states import StateFn, validate_state
 
 F = Fraction
@@ -158,3 +162,128 @@ def test_sweep_deterministic(b2, mo2):
     r1 = search_pseudometric_violation([b2, mo2], cap=100)
     r2 = search_pseudometric_violation([b2, mo2], cap=100)
     assert r1.summary() == r2.summary()
+
+
+# -- one row list: the pseudometric LP and first violations are pinned --
+
+
+def reduced_digest(sys):
+    """sha256 prefix of the system's equality-eliminated form."""
+    return hashlib.sha256(repr(sys.reduced).encode()).hexdigest()[:16]
+
+
+# the reduced s-map + pseudometric system (x0, basis, rows, rhs) as it
+# was before the zero-diagonal rows joined its equalities: they lie in
+# the span of (s2), so every start vertex, pivot and maximum is the same
+PSEUDOMETRIC_REDUCED_DIGESTS = {
+    "b2": "5af011e2c6e53d86",
+    "b3": "66e050fb9be7719e",
+    "hs3": "b6eaad905db780b9",
+    "mo2": "0b3211f4bce20ec9",
+    "mo3": "0206ff5a7d1f628b",
+}
+
+
+@pytest.mark.parametrize("lname", sorted(PSEUDOMETRIC_REDUCED_DIGESTS))
+def test_pseudometric_system_reduction_unchanged(lname, request):
+    l = request.getfixturevalue(lname)
+    assert (reduced_digest(_smap_system_with_pseudometric(l))
+            == PSEUDOMETRIC_REDUCED_DIGESTS[lname])
+
+
+def lp_vertices(l):
+    """The distinct maximizers of +-p(x, y) over the s-map polytope, for
+    every pair: vertices found without enumerating them all."""
+    sys = smap_system(l)
+    found = set()
+    for a, b in l.pairs():
+        for sign in (1, -1):
+            coeffs = [0] * len(sys.vars)
+            coeffs[sys.index[pair_var(a, b)]] = sign
+            found.add(maximize(sys, coeffs)[1])
+    return sorted(found)
+
+
+def test_pseudometric_checker_agrees_with_system(mo2, mo3):
+    # every s-map vertex of MO(2); on MO(3), whose vertices the walk
+    # does not reach in test time, the vertices that maximize or
+    # minimize one pair variable
+    for l, vertices in ((mo2, enumerate_vertices(smap_system(mo2), 100)),
+                        (mo3, lp_vertices(mo3))):
+        sys = _smap_system_with_pseudometric(l)
+        verdicts = set()
+        for vec in vertices:
+            P = BiMap.from_vector(l, vec)
+            verdict = is_pseudometric(derive_d_from_s(P)).is_pseudometric
+            assert verdict == satisfies(sys, P.as_vector())
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+
+def mutated_metrics(l, D):
+    """(label, D') for D' = D with the entry at a|b moved by 1/100, and,
+    for a before b, with the entries at a|b and b|a both moved (which
+    keeps the symmetry), staying inside [0, 1]."""
+    def moved(M, a, b):
+        old = M(a, b)
+        return M.replace(a, b, old + F(1, 100) if old < 1
+                         else old - F(1, 100))
+
+    for i, a in enumerate(l.elements):
+        for j, b in enumerate(l.elements):
+            yield "%s|%s" % (a, b), moved(D, a, b)
+            if i < j:
+                yield "%s|%s+%s|%s" % (a, b, b, a), moved(moved(D, a, b), b, a)
+
+
+def state_smap(l, m):
+    """[DERIVED] m(a ^ b) on compatible pairs and m(a) m(b) otherwise: an
+    s-map on a Boolean algebra and on MO(n)."""
+    return BiMap.from_function(
+        l, lambda a, b: m[l.meet(a, b)] if l.compatible(a, b)
+        else m[a] * m[b])
+
+
+@pytest.fixture(scope="module")
+def metrics(b3, mo2):
+    """d_p of an s-map that is a pseudometric, on 2^3 and on MO(2)."""
+    weights = {"a": F(1, 6), "b": F(1, 3), "c": F(1, 2)}
+    m3 = {x: sum((w for atom, w in weights.items() if b3.leq(atom, x)),
+                 F(0)) for x in b3.elements}
+    m2 = {"0": F(0), "a": F(1, 2), "a'": F(1, 2), "b": F(1, 3),
+          "b'": F(2, 3), "1": F(1)}
+    return {"b3": derive_d_from_s(state_smap(b3, m3)),
+            "mo2": derive_d_from_s(state_smap(mo2, m2))}
+
+
+# (lattice, mutated entries) -> (violated axiom, witness)
+PSEUDOMETRIC_FIRST_VIOLATIONS = {
+    ("b3", "0|0"): ("zero-diagonal", ("0",)),
+    ("b3", "a|0"): ("symmetry", ("0", "a")),
+    ("b3", "a|b"): ("symmetry", ("a", "b")),
+    ("b3", "0|1+1|0"): (None, None),
+    ("b3", "0|ab+ab|0"): ("triangle", ("0", "ab", "a")),
+    ("b3", "a|b+b|a"): ("triangle", ("a", "b", "0")),
+    ("b3", "a|1+1|a"): ("triangle", ("a", "1", "ab")),
+    ("mo2", "a'|a'"): ("zero-diagonal", ("a'",)),
+    ("mo2", "b'|a"): ("symmetry", ("a", "b'")),
+    ("mo2", "a|b'"): ("symmetry", ("a", "b'")),
+    ("mo2", "a|b+b|a"): (None, None),
+}
+
+# sha256 over the verdict of every mutation of both metrics
+ALL_PSEUDOMETRIC_MUTATIONS_DIGEST = (
+    "aa0780055f0198b5e5d106c333d97d81618b2b11a7467c9feac48b3dfa79688e")
+
+
+def test_pseudometric_first_violations_unchanged(metrics, b3, mo2):
+    h = hashlib.sha256()
+    for lname, l in (("b3", b3), ("mo2", mo2)):
+        assert is_pseudometric(metrics[lname]).is_pseudometric, lname
+        for label, D in mutated_metrics(l, metrics[lname]):
+            v = is_pseudometric(D)
+            got = (v.violated_axiom, v.witness)
+            h.update(("%s %s %s\n" % (lname, label, got)).encode())
+            if (lname, label) in PSEUDOMETRIC_FIRST_VIOLATIONS:
+                assert got == PSEUDOMETRIC_FIRST_VIOLATIONS[lname, label]
+    assert h.hexdigest() == ALL_PSEUDOMETRIC_MUTATIONS_DIGEST

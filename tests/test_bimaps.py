@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -43,7 +44,7 @@ from omlprob.bimaps import (
 )
 from omlprob.linear import enumerate_vertices, satisfies
 from omlprob.rational import fmt_rat
-from omlprob.states import validate_state
+from omlprob.states import state_system, validate_state
 
 F = Fraction
 H = F(1, 2)
@@ -422,6 +423,23 @@ def test_system_rows_unchanged(system, lname, request):
     assert system_digest(SYSTEMS[system](l)) == SYSTEM_DIGESTS[system, lname]
 
 
+# the rows state_system had when validate_state and state_system were
+# written separately: bot, top, additivity, then the boxes
+STATE_SYSTEM_DIGESTS = {
+    "b2": "60708f0bc33a327b",
+    "b3": "cde186a672b70e7e",
+    "hs3": "40aa49eacbbb3caf",
+    "mo2": "d03b0cafb30ee9d9",
+    "mo3": "b65e5f584fbae807",
+}
+
+
+@pytest.mark.parametrize("lname", sorted(STATE_SYSTEM_DIGESTS))
+def test_state_system_rows_unchanged(lname, request):
+    l = request.getfixturevalue(lname)
+    assert system_digest(state_system(l)) == STATE_SYSTEM_DIGESTS[lname]
+
+
 def state_smap(l, m):
     """m(a ^ b) on compatible pairs and m(a) m(b) otherwise: an s-map on
     MO(n), and on a Boolean algebra the map m(a ^ b)."""
@@ -539,3 +557,105 @@ def test_checker_agrees_with_system(system, valid_maps, mo2, b3):
             except InvalidCorners:
                 member = False  # a corner off {0, 1}: no G-system holds it
             assert check_map(system, N).ok == member
+
+
+# -- Gamma semantics: first violations are pinned ------------------------
+
+
+def transpose(G):
+    return BiMap.from_function(G.lattice, lambda a, b: G(b, a))
+
+
+def family_maps(l, P):
+    """[DERIVED] A map of each family Gamma1-12 built from the s-map P,
+    which is m(a ^ b) on compatible pairs: P (Gamma2), q_p (3), d_p
+    (4), p(a, a) (9), its transpose (10), the constant 0 (1) and the
+    complements of these six (5, 6, 7, 11, 12, 8)."""
+    base = {2: P, 3: derive_j_from_s(P), 4: derive_d_from_s(P),
+            9: derive_pure_projection_from_s(P),
+            10: transpose(derive_pure_projection_from_s(P)),
+            1: BiMap.from_function(l, lambda a, b: 0)}
+    comp = {2: 5, 3: 6, 4: 7, 9: 11, 10: 12, 1: 8}
+    out = dict(base)
+    out.update({comp[g]: complement_map(G) for g, G in base.items()})
+    return out
+
+
+@pytest.fixture(scope="module")
+def semantic_maps(b2, mo2):
+    return {
+        "b2": family_maps(b2, boolean_smap(b2, {"a": F(1, 4),
+                                                "b": F(3, 4)})),
+        "mo2": family_maps(mo2, state_smap(
+            mo2, {"0": F(0), "a": F(1, 3), "a'": F(2, 3), "b": F(1, 4),
+                  "b'": F(3, 4), "1": F(1)})),
+    }
+
+
+def semantic_outcome(G):
+    """The first semantic violation of G as text, or the exception."""
+    try:
+        report = semantic_check_on_compatible(G)
+    except BiMapError as e:
+        return type(e).__name__
+    v = report.first_violation
+    return v and (v.axiom, v.elements, fmt_rat(v.lhs), fmt_rat(v.rhs))
+
+
+def seeded_map(l, corners, seed):
+    """Values drawn from {0, 1/4, ..., 1}, with the given corners."""
+    rng = random.Random(seed)
+    values = {p: F(rng.randint(0, 4), 4) for p in l.pairs()}
+    values.update(zip([(x, y) for x in (l.bot, l.top)
+                       for y in (l.bot, l.top)], map(F, corners)))
+    return BiMap.from_dict(l, values)
+
+
+# (lattice, Gamma) -> first violation of seeded_map(l, corners, Gamma)
+SEEDED_SEMANTICS = {
+    ("b2", 1): ("semantics-gamma1", ("0", "a"), "1", "0"),
+    ("b2", 2): ("semantics-gamma2", ("a", "0"), "1/4", "0"),
+    ("b2", 3): ("semantics-gamma3", ("0", "b"), "1", "0"),
+    ("b2", 4): ("semantics-gamma4", ("0", "a"), "1/2", "3/4"),
+    ("b2", 5): ("semantics-gamma5", ("0", "a"), "1/2", "1"),
+    ("b2", 6): ("semantics-gamma6", ("0", "a"), "0", "1/2"),
+    ("b2", 7): ("semantics-gamma7", ("0", "a"), "1/4", "0"),
+    ("b2", 8): ("semantics-gamma8", ("0", "a"), "1/2", "1"),
+    ("b2", 9): ("semantics-gamma9", ("0", "a"), "1", "0"),
+    ("b2", 10): ("semantics-gamma10", ("a", "0"), "1", "0"),
+    ("b2", 11): ("semantics-gamma11", ("0", "b"), "3/4", "1"),
+    ("b2", 12): ("semantics-gamma12", ("0", "a"), "1/2", "0"),
+    ("mo2", 1): ("semantics-gamma1", ("0", "a"), "1", "0"),
+    ("mo2", 2): ("semantics-gamma2", ("0", "b"), "1/2", "0"),
+    ("mo2", 3): ("semantics-gamma3", ("0", "a'"), "1", "1/4"),
+    ("mo2", 4): ("semantics-gamma4", ("0", "a"), "1/2", "0"),
+    ("mo2", 5): ("semantics-gamma5", ("0", "a"), "1/2", "1"),
+    ("mo2", 6): ("semantics-gamma6", ("0", "a"), "0", "3/4"),
+    ("mo2", 7): ("semantics-gamma7", ("0", "a"), "1/4", "1"),
+    ("mo2", 8): ("semantics-gamma8", ("0", "a"), "1/2", "1"),
+    ("mo2", 9): ("semantics-gamma9", ("0", "a"), "1", "0"),
+    ("mo2", 10): ("semantics-gamma10", ("a", "0"), "1/4", "0"),
+    ("mo2", 11): ("semantics-gamma11", ("0", "a'"), "3/4", "1"),
+    ("mo2", 12): ("semantics-gamma12", ("0", "a"), "1/2", "0"),
+}
+
+# sha256 over the outcome of every one-entry mutation of every map in
+# semantic_maps
+ALL_SEMANTIC_MUTATIONS_DIGEST = (
+    "702678355c259a0bcf5bb3f05a04fbf078096ffd033e81202535be8d89ef98c8")
+
+
+def test_semantic_first_violations_unchanged(semantic_maps, b2, mo2):
+    h = hashlib.sha256()
+    for lname, l in (("b2", b2), ("mo2", mo2)):
+        for gamma, G in sorted(semantic_maps[lname].items()):
+            assert classify_family(G).gamma == gamma
+            assert semantic_check_on_compatible(G).ok, (lname, gamma)
+            for a, b in l.pairs():
+                got = semantic_outcome(mutate(G, a, b))
+                h.update(("%s %d %s|%s %s\n" % (lname, gamma, a, b, got))
+                         .encode())
+            assert (semantic_outcome(
+                seeded_map(l, CORNERS_OF_FAMILY[gamma], gamma))
+                == SEEDED_SEMANTICS[lname, gamma])
+    assert h.hexdigest() == ALL_SEMANTIC_MUTATIONS_DIGEST

@@ -51,6 +51,14 @@ def files(tmp_path_factory):
     (d / "int-ids.json").write_text(json.dumps(
         {"elements": [0, 1], "leq": [[0, 1]], "comp": {"0": 1, "1": 0},
          "bot": 0, "top": 1}))
+    (d / "b4.json").write_text(lattice.boolean_algebra(4).to_json())
+    (d / "mo4.json").write_text(lattice.mo(4).to_json())
+    (d / "non-utf8.json").write_bytes(b"\xff\xfe")
+    (d / "nested.json").write_text("[" * 200000)
+    # the values of 2^1's s-map m(a^b), written as JSON booleans
+    (d / "booleans.json").write_text(json.dumps(
+        {"lattice": "b1.json", "values": {"0|0": False, "0|1": False,
+                                          "1|0": False, "1|1": True}}))
     return d
 
 
@@ -230,12 +238,23 @@ def test_usage_error_exit_code(capsys):
     (["verify", "--identity", "semantics", "mo2.json", "half.json"], None, 1),
     (["states", "b2.json", "--vertices", "-1"], None, 2),
     (["search", "pseudometric", "--cap", "-1", "b2.json"], None, 2),
+    (["check-lattice", "non-utf8.json"], None, 2),
+    (["states", "non-utf8.json"], None, 2),
+    (["property", "bell1-state", "non-utf8.json"], None, 2),
+    (["search", "pseudometric", "b2.json", "non-utf8.json"], None, 2),
+    (["states", "nested.json"], None, 2),
+    (["check-lattice", "nested.json"], None, 2),
+    (["check-map", "--system", "s", "mo2.json", "nested.json"], None, 2),
+    (["check-map", "--system", "s", "b1.json", "booleans.json"], None, 2),
 ], ids=["non-oml-property", "non-oml-states", "non-oml-check-map",
         "non-object-lattice", "order-triple", "order-triple-check-lattice",
         "cap-below-vertices", "cap-zero", "bad-max-elements",
         "unknown-pair-key", "pipe-in-element-id", "list-element-id",
         "integer-element-ids", "semantics-fractional-corners",
-        "negative-vertices", "negative-cap"])
+        "negative-vertices", "negative-cap", "non-utf8-check-lattice",
+        "non-utf8-states", "non-utf8-property", "non-utf8-search",
+        "nested-lattice", "nested-lattice-check-lattice", "nested-map",
+        "boolean-map-values"])
 def test_bad_input_exit_codes(files, capsys, monkeypatch, argv, env, code):
     # each input once escaped main() as a traceback or exited 0 or 2
     if env is not None:
@@ -290,6 +309,13 @@ JAUCH_PIRON_GOLDENS = {
     ("jauch-piron-state", "mo3"): (1, _state_violated(
         {"0": "0", "1": "1", "a": "1", "a'": "0", "b": "1", "b'": "0",
          "c": "1", "c'": "0"})),
+    ("jauch-piron-state", "b4"): (0, {
+        "certificate": {"min_conclusion": "1"}, "details": None,
+        "property": "jauch-piron-state", "verdict": "implied",
+        "witness": None}),
+    ("jauch-piron-state", "mo4"): (1, _state_violated(
+        {"0": "0", "1": "1", "a": "1", "a'": "0", "b": "1", "b'": "0",
+         "c": "1", "c'": "0", "d": "1", "d'": "0"})),
     ("jauch-piron-smap", "b3"): (0, _SMAP_IMPLIED),
     ("jauch-piron-smap", "mo2"): (0, _SMAP_IMPLIED),
     ("jauch-piron-smap", "mo3"): (0, _SMAP_IMPLIED),

@@ -5,14 +5,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from omlprob import lattice
+from omlprob.linear import satisfies
 from omlprob.states import (
     AdditivityFailure,
     NotNormalized,
     OutOfRange,
+    StateError,
     StateFn,
     classify_states,
     is_state,
     state_from_json,
+    state_system,
     state_vertices,
     validate_state,
 )
@@ -129,3 +132,127 @@ def test_convex_combinations_are_states(num, data):
     mix = StateFn.from_dict(l, {
         x: lam * verts[i](x) + (1 - lam) * verts[j](x) for x in l.elements})
     validate_state(l, mix)
+
+
+# -- state rows: checker/LP agreement, first violations -------------------
+
+
+def atom_state(l, weights):
+    """m(x) = the weight of the atoms below x, and m(1) = 1: a state when
+    the atoms of every block weigh 1 in all."""
+    return StateFn.from_dict(l, {
+        x: F(1) if x == l.top else
+        sum((w for atom, w in weights.items() if l.leq(atom, x)), F(0))
+        for x in l.elements})
+
+
+@pytest.fixture(scope="module")
+def fixed_states(mo2, b3, hs3):
+    thirds = [F(1, 3), F(2, 3)]
+    return {
+        "mo2": atom_state(mo2, dict(zip(mo2.atoms(), thirds + [F(1, 2)] * 2))),
+        "b3": atom_state(b3, dict(zip(b3.atoms(), [F(1, 6), F(1, 3),
+                                                   F(1, 2)]))),
+        "hs3": atom_state(hs3, dict(zip(hs3.atoms(), [F(1, 6), F(1, 3),
+                                                      F(1, 2)] + thirds * 2))),
+    }
+
+
+def mutations(l, m):
+    """m with one value moved by 1/100 (staying inside [0, 1]), and with
+    one value moved out of range, for every element."""
+    for x in l.elements:
+        for new in (m(x) + F(1, 100) if m(x) < 1 else m(x) - F(1, 100),
+                    F(-1) if m(x) else F(2)):
+            yield x, new, StateFn.from_dict(l, dict(m.as_dict(), **{x: new}))
+
+
+def first_state_violation(l, m):
+    try:
+        validate_state(l, m)
+    except StateError as e:
+        return type(e).__name__, str(e), getattr(e, "pair", None)
+    return None
+
+
+@pytest.mark.parametrize("lname", ["mo2", "b3", "hs3"])
+def test_state_checker_agrees_with_system(lname, request, fixed_states):
+    l = request.getfixturevalue(lname)
+    sys = state_system(l)
+    m = fixed_states[lname]
+    assert is_state(l, m)
+    for _x, _new, s in mutations(l, m):
+        point = [s(x) for x in l.elements]
+        assert is_state(l, s) == satisfies(sys, point)
+
+
+# (lattice, element, new value) -> (exception, message, pair)
+STATE_FIRST_VIOLATIONS = {
+    ("mo2", "0", "1/100"): ("NotNormalized", "m(bot) = 1/100 != 0", None),
+    ("mo2", "0", "2"): ("OutOfRange", "m(0) = 2 is outside [0, 1]", None),
+    ("mo2", "a", "103/300"):
+        ("AdditivityFailure",
+         "m(a v a') = 1 but m(a) + m(a') = 101/100",
+         ("a", "a'")),
+    ("mo2", "a", "-1"): ("OutOfRange", "m(a) = -1 is outside [0, 1]", None),
+    ("mo2", "a'", "203/300"):
+        ("AdditivityFailure",
+         "m(a v a') = 1 but m(a) + m(a') = 101/100",
+         ("a", "a'")),
+    ("mo2", "a'", "-1"): ("OutOfRange", "m(a') = -1 is outside [0, 1]", None),
+    ("mo2", "b", "51/100"):
+        ("AdditivityFailure",
+         "m(b v b') = 1 but m(b) + m(b') = 101/100",
+         ("b", "b'")),
+    ("mo2", "b", "-1"): ("OutOfRange", "m(b) = -1 is outside [0, 1]", None),
+    ("mo2", "b'", "51/100"):
+        ("AdditivityFailure",
+         "m(b v b') = 1 but m(b) + m(b') = 101/100",
+         ("b", "b'")),
+    ("mo2", "b'", "-1"): ("OutOfRange", "m(b') = -1 is outside [0, 1]", None),
+    ("mo2", "1", "99/100"): ("NotNormalized", "m(top) = 99/100 != 1", None),
+    ("mo2", "1", "-1"): ("OutOfRange", "m(1) = -1 is outside [0, 1]", None),
+    ("b3", "0", "1/100"): ("NotNormalized", "m(bot) = 1/100 != 0", None),
+    ("b3", "0", "2"): ("OutOfRange", "m(0) = 2 is outside [0, 1]", None),
+    ("b3", "a", "53/300"):
+        ("AdditivityFailure",
+         "m(a v b) = 1/2 but m(a) + m(b) = 51/100",
+         ("a", "b")),
+    ("b3", "a", "-1"): ("OutOfRange", "m(a) = -1 is outside [0, 1]", None),
+    ("b3", "b", "103/300"):
+        ("AdditivityFailure",
+         "m(a v b) = 1/2 but m(a) + m(b) = 51/100",
+         ("a", "b")),
+    ("b3", "b", "-1"): ("OutOfRange", "m(b) = -1 is outside [0, 1]", None),
+    ("b3", "c", "51/100"):
+        ("AdditivityFailure",
+         "m(a v c) = 2/3 but m(a) + m(c) = 203/300",
+         ("a", "c")),
+    ("b3", "c", "-1"): ("OutOfRange", "m(c) = -1 is outside [0, 1]", None),
+    ("b3", "ab", "51/100"):
+        ("AdditivityFailure",
+         "m(a v b) = 51/100 but m(a) + m(b) = 1/2",
+         ("a", "b")),
+    ("b3", "ab", "-1"): ("OutOfRange", "m(ab) = -1 is outside [0, 1]", None),
+    ("b3", "ac", "203/300"):
+        ("AdditivityFailure",
+         "m(a v c) = 203/300 but m(a) + m(c) = 2/3",
+         ("a", "c")),
+    ("b3", "ac", "-1"): ("OutOfRange", "m(ac) = -1 is outside [0, 1]", None),
+    ("b3", "bc", "253/300"):
+        ("AdditivityFailure",
+         "m(a v bc) = 1 but m(a) + m(bc) = 101/100",
+         ("a", "bc")),
+    ("b3", "bc", "-1"): ("OutOfRange", "m(bc) = -1 is outside [0, 1]", None),
+    ("b3", "1", "99/100"): ("NotNormalized", "m(top) = 99/100 != 1", None),
+    ("b3", "1", "-1"): ("OutOfRange", "m(1) = -1 is outside [0, 1]", None),
+}
+
+
+@pytest.mark.parametrize("lname", ["mo2", "b3"])
+def test_state_first_violations_unchanged(lname, request, fixed_states):
+    l = request.getfixturevalue(lname)
+    got = {(lname, x, str(new)): first_state_violation(l, s)
+           for x, new, s in mutations(l, fixed_states[lname])}
+    assert got == {k: v for k, v in STATE_FIRST_VIOLATIONS.items()
+                   if k[0] == lname}
