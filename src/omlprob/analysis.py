@@ -16,9 +16,9 @@ from fractions import Fraction
 
 from .bimaps import BiMap, pair_var, smap_system
 from .lattice import Oml
-from .linear import (Polytope, SystemBuilder, certify_implied,
-                     enumerate_vertices, first_violation, functional_on,
-                     maximize, propagate_unit_box, with_premise, Infeasible)
+from .linear import (Polytope, SystemBuilder, enumerate_vertices,
+                     first_violation, functional_on, maximize,
+                     propagate_unit_box, with_premise, Infeasible)
 from .rational import fmt_rat
 from .states import StateFn, state_system
 
@@ -164,11 +164,6 @@ def bell2_smap(l: Oml, require_pseudometric: bool = False) -> PropertyVerdict:
 # -- Jauch-Piron ---------------------------------------------------------
 
 
-def _with_premise(base: Polytope, premise_eqs) -> Polytope:
-    return with_premise(base, [(_coeff_vec(base, coeffs), rhs)
-                               for coeffs, rhs in premise_eqs])
-
-
 def jauch_piron_state(l: Oml) -> PropertyVerdict:
     """m(a) = m(b) = 1  =>  m(a^b) = 1, decided by exact minimization.
 
@@ -183,7 +178,7 @@ def jauch_piron_state(l: Oml) -> PropertyVerdict:
     pairs = ((a, b) for i, a in enumerate(l.elements)
              for b in l.elements[i:])
     for a, b in pairs:
-        sys = _with_premise(base, [({a: 1}, 1), ({b: 1}, 1)])
+        sys = with_premise(base, {base.index[a]: 1, base.index[b]: 1})
         try:
             negmin, point = maximize(sys, _coeff_vec(sys, {l.meet(a, b): -1}))
         except Infeasible:
@@ -203,87 +198,62 @@ def jauch_piron_state(l: Oml) -> PropertyVerdict:
                            for k, v in _named(sys, point).items()}})
 
 
+def _smap_pair_witness(l: Oml, sys: Polytope, a: str, b: str):
+    """The first witness that sys, the s-map system under the premise
+    p(a,a) = p(b,b) = 1, breaks the conclusion p(a,b) = 1 or the
+    addendum; None when it keeps both.  Each question is whether some
+    coeffs . x + const can be positive on sys: 1 - p(a,b), or x - y or
+    y - x for x = p(a,c) or p(c,a) and y = p(c,c).  The affine hull
+    settles it when the functional is constant there, else maximize.
+    Raises Infeasible when sys is empty."""
+    pair = "%s,%s" % (a, b)
+    questions = [({pair_var(a, b): -1}, ONE, None)] + [
+        ({x: s, y: -s}, ZERO, (x, y)) for c in l.elements
+        for x, y in ((pair_var(a, c), pair_var(c, c)),
+                     (pair_var(c, a), pair_var(c, c))) if x != y
+        for s in (1, -1)]
+    for coeffs, const, addendum in questions:
+        vec = _coeff_vec(sys, coeffs)
+        base, obj = functional_on(sys, vec)
+        if not any(obj) and base + const <= 0:
+            continue
+        val, point = maximize(sys, vec, const)
+        if val <= 0:
+            continue
+        if addendum is None:
+            return {"pair": pair, "p(a,b)": fmt_rat(ONE - val),
+                    "map": {k: fmt_rat(v)
+                            for k, v in _named(sys, point).items()}}
+        return {"pair": pair, "addendum": "%s != %s" % addendum,
+                "gap": fmt_rat(val)}
+    return None
+
+
 def jauch_piron_smap(l: Oml) -> PropertyVerdict:
     """p(a,a) = p(b,b) = 1  =>  p(a,b) = 1, plus the addendum that the
     premise forces p(a,c) = p(c,a) = p(c,c) for every c.
 
-    Decided per premise pair by exact bound propagation over the axiom
-    equalities (which settles nearly every question outright, the same
-    way the hand proof runs); whatever propagation leaves open is
-    certified or refuted by the LP.
+    Per premise pair, exact bound propagation over the axiom equalities
+    pins what the premise forces (as the hand proof runs) or proves it
+    infeasible.  The s-map system with those pins answers every question
+    of the pair; when it is empty the implication is vacuous.
     """
     base = smap_system(l)
     index = base.index
     for i, a in enumerate(l.elements):
         for b in l.elements[i:]:
-            seed = {index[pair_var(a, a)]: ONE, index[pair_var(b, b)]: ONE}
-            known = propagate_unit_box(base, seed)
+            known = propagate_unit_box(base, {index[pair_var(a, a)]: ONE,
+                                              index[pair_var(b, b)]: ONE})
             if known is None:
                 continue  # premise proven infeasible
-            if len(known) == len(base.vars):
-                # the premise pins the whole map; the pinned assignment
-                # satisfies every equality and box, so it is the one
-                # feasible point and every question reads off directly
-                def forced_value(coeffs, known=known):
-                    return sum(v * known[index[x]] for x, v in coeffs.items())
-
-                sys = None
-            else:
-                # the premise system, enriched with every propagated pin
-                # (all consequences, so the feasible set is unchanged);
-                # most questions then close on its affine hull sans LP
-                sys = _with_premise(
-                    base,
-                    [({base.vars[j]: 1}, v) for j, v in sorted(known.items())])
-
-                def forced_value(coeffs, sys=sys):
-                    const, obj = functional_on(sys, _coeff_vec(sys, coeffs))
-                    return const if not any(obj) else None
-
             try:
-                conclusion = forced_value({pair_var(a, b): 1})
+                witness = _smap_pair_witness(
+                    l, with_premise(base, known), a, b)
             except Infeasible:
                 continue  # premise infeasible, implication vacuous
-            if conclusion != 1:
-                if sys is None:
-                    low = conclusion
-                    point = {x: known[j] for x, j in index.items()}
-                else:
-                    negmin, raw = maximize(
-                        sys, _coeff_vec(sys, {pair_var(a, b): -1}))
-                    low = -negmin
-                    point = _named(sys, raw)
-                if low != 1:
-                    return PropertyVerdict(
-                        "jauch-piron-smap", repr(l), "violated",
-                        witness={"pair": "%s,%s" % (a, b),
-                                 "p(a,b)": fmt_rat(low),
-                                 "map": {k: fmt_rat(v)
-                                         for k, v in point.items()}})
-            for c in l.elements:
-                for x, y in ((pair_var(a, c), pair_var(c, c)),
-                             (pair_var(c, a), pair_var(c, c))):
-                    if x == y:
-                        continue
-                    gap = forced_value({x: 1, y: -1})
-                    if gap == 0:
-                        continue
-                    if sys is None:  # pinned assignment, nonzero gap
-                        return PropertyVerdict(
-                            "jauch-piron-smap", repr(l), "violated",
-                            witness={"pair": "%s,%s" % (a, b),
-                                     "addendum": "%s != %s" % (x, y),
-                                     "gap": fmt_rat(gap)})
-                    for sign in (1, -1):
-                        coeffs = {x: sign, y: -sign}
-                        cert = certify_implied(
-                            sys, _coeff_vec(sys, coeffs), 0)
-                        if not cert.implied:
-                            return PropertyVerdict(
-                                "jauch-piron-smap", repr(l), "violated",
-                                witness={"pair": "%s,%s" % (a, b),
-                                         "addendum": "%s != %s" % (x, y),
-                                         "gap": fmt_rat(cert.optimum)})
+            if witness is not None:
+                return PropertyVerdict("jauch-piron-smap", repr(l),
+                                       "violated", witness=witness)
     return PropertyVerdict("jauch-piron-smap", repr(l), "implied",
                            certificate={"conclusion": "p(a,b)=1",
                                         "addendum": "p(a,c)=p(c,a)=p(c,c)"})

@@ -400,17 +400,9 @@ def mo(n: int) -> Oml:
                          "comp": comp, "bot": "0", "top": "1"})
 
 
-def hexagon() -> Oml:
-    """The benzene ring O6: an ortholattice that is NOT orthomodular.
-
-    validate_oml raises OrthomodularLawFailure on it; kept as a
-    constructor of the raw description for tests.
-    """
-    return validate_oml(hexagon_candidate())
-
-
 def hexagon_candidate() -> dict:
-    """Raw description of O6 (chain 0 < x < y < 1 plus complements)."""
+    """Raw description of O6 (chain 0 < x < y < 1 plus complements), an
+    ortholattice on which validate_oml raises OrthomodularLawFailure."""
     return {
         "elements": ["0", "x", "y", "y'", "x'", "1"],
         "covers": [["0", "x"], ["x", "y"], ["y", "1"],

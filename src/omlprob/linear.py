@@ -5,9 +5,9 @@ simplex; there is no floating point anywhere.  A system is one immutable
 Polytope value.  On first use it is reduced, once, by rational
 Gaussian elimination on the equalities to x = x0 + N t, so
 optimization and vertex enumeration happen in the (usually much
-smaller) space t of the remaining free directions.  with_premise adds
-equalities by restricting the parent's reduction inside that t-space,
-which gives exactly the reduction a from-scratch elimination would.
+smaller) space t of the remaining free directions.  with_premise pins
+variables (x_j = v) by restricting the parent's reduction inside that
+t-space, with the reduction a from-scratch elimination would give.
 
 Optimization is a vertex simplex in t-space: its basis is d rows
 tight at the current vertex, whose d x d inverse a pivot updates by
@@ -66,7 +66,7 @@ class Polytope:
     is computed on first use and kept (see reduced).
     """
 
-    def __init__(self, vars, eqs=(), ineqs=(), *, _parent=None):
+    def __init__(self, vars, eqs=(), ineqs=(), *, _premise=None):
         self.vars = tuple(vars)
         self.eqs = tuple(eqs)
         self.ineqs = tuple(ineqs)
@@ -74,23 +74,23 @@ class Polytope:
         for coeffs, _rhs in self.eqs + self.ineqs:
             if len(coeffs) != n:
                 raise LinearError("coefficient vector length mismatch")
-        if _parent is None:
+        if _premise is None:
             self.index = {v: i for i, v in enumerate(self.vars)}
             if len(self.index) != n:
                 raise LinearError("duplicate variable names")
         else:
-            self.index = _parent.index
-        self._parent = _parent
+            self.index = _premise[0].index
+        self._premise = _premise  # (parent, pins) of a with_premise child
 
     @functools.cached_property
     def reduced(self):
         """The _Reduction of the system, or None when elimination alone
         shows it empty.  A with_premise child restricts its parent's
-        reduction by the equalities it adds."""
-        if self._parent is None:
+        reduction by its pins."""
+        if self._premise is None:
             return _reduce(self.eqs, self.ineqs, len(self.vars))
-        return _restrict(self._parent.reduced,
-                         self.eqs[len(self._parent.eqs):])
+        parent, pins = self._premise
+        return _restrict(parent.reduced, pins)
 
     @functools.cached_property
     def start(self):
@@ -168,16 +168,6 @@ class PolyInfo:
     status: str                 # "empty" | "point" | "positive-dimensional"
     dim: int                    # -1 for empty
     witness: tuple | None       # one exact feasible point (vars order)
-
-
-@dataclass(frozen=True)
-class Certification:
-    """Outcome of certify_implied: exact optimum of the target's left side."""
-
-    implied: bool
-    optimum: Fraction
-    argmax: tuple               # point attaining the optimum
-    counterexample: tuple | None  # == argmax when not implied
 
 
 def first_violation(rows, value):
@@ -352,19 +342,19 @@ def _reduce(eqs, ineqs, n):
     return _with_rows(x0, basis, _project(x0, basis, ineqs))
 
 
-def _restrict(red, extra_eqs):
-    """red plus the x-space equalities extra_eqs, eliminated in red's
-    t-space: t = t0 + M u solves the projected equalities, so
-    x0' = x0 + N t0, N' = N M, and each row r . t <= b becomes
-    (r M) . u <= b - r . t0.
+def _restrict(red, pins):
+    """red plus the pins {j: v}, each x_j = v, eliminated in red's
+    t-space.  A pin is the t-space row (N[j][k] for each k) with rhs
+    v - x0[j]; t = t0 + M u solves those rows, so x0' = x0 + N t0,
+    N' = N M, and each row r . t <= b becomes (r M) . u <= b - r . t0.
 
     The free variables are those a from-scratch elimination picks, so
     x0', N', rows, rhs and row order all equal its result.
     """
     if red is None:
         return None
-    solved = _solve_eqs(_project(red.x0, red.basis, extra_eqs),
-                        len(red.basis))
+    solved = _solve_eqs([(tuple(v[j] for v in red.basis), b - red.x0[j])
+                         for j, b in pins.items()], len(red.basis))
     if solved is None:
         return None
     t0, M = solved
@@ -443,17 +433,20 @@ def functional_on(sys: Polytope, coeffs):
     return _functional(red.x0, red.basis, coeffs)
 
 
-def with_premise(sys: Polytope, extra_eqs) -> Polytope:
-    """sys plus extra equalities ((coeffs, rhs) in x-space).
+def with_premise(sys: Polytope, pins: dict) -> Polytope:
+    """sys plus the pins {variable index: value}, each x_j = v.
 
-    Equivalent to building the system from scratch, but the child's
-    reduction is restricted from sys's in the small eliminated space,
-    which makes premise sweeps cheap.
+    The child's eqs gain one unit row per pin, so it is the system a
+    from-scratch build would give; its reduction is restricted from
+    sys's in the small eliminated space, at O(d) per pin, which makes
+    premise sweeps cheap.
     """
-    # premise rows are mostly zeros: convert only the other coefficients
-    extra_eqs = tuple((tuple(Fraction(c) if c else ZERO for c in coeffs),
-                       Fraction(rhs)) for coeffs, rhs in extra_eqs)
-    return Polytope(sys.vars, sys.eqs + extra_eqs, sys.ineqs, _parent=sys)
+    pins = {j: Fraction(v) for j, v in pins.items()}
+    zero = (ZERO,) * len(sys.vars)
+    units = tuple((zero[:j] + (ONE,) + zero[j + 1:], v)
+                  for j, v in pins.items())
+    return Polytope(sys.vars, sys.eqs + units, sys.ineqs,
+                    _premise=(sys, pins))
 
 
 # -- simplex in the reduced space ----------------------------------------
@@ -695,16 +688,3 @@ def maximize(sys: Polytope, coeffs, const=ZERO):
     val, t = _max_t(sys.start, obj)
     return base + val, _lift(red.x0, red.basis, t)
 
-
-def certify_implied(sys: Polytope, coeffs, rhs) -> Certification:
-    """Does coeffs . x <= rhs hold over the whole solution set of sys?
-
-    Decided by exact maximization of the left side.  When the maximum
-    exceeds rhs the maximizing point is a counterexample; otherwise the
-    optimum value is the certificate.
-    """
-    rhs = Fraction(rhs)
-    opt, point = maximize(sys, [Fraction(c) for c in coeffs])
-    if opt <= rhs:
-        return Certification(True, opt, point, None)
-    return Certification(False, opt, point, point)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from omlprob import analysis
 from omlprob.analysis import (
     _smap_system_with_pseudometric,
     bell1_smap,
@@ -14,8 +15,10 @@ from omlprob.analysis import (
     jauch_piron_state,
     search_pseudometric_violation,
 )
-from omlprob.bimaps import BiMap, derive_d_from_s, pair_var, smap_system
-from omlprob.linear import enumerate_vertices, maximize, satisfies
+from omlprob.bimaps import (BiMap, _axiom_rows, derive_d_from_s, pair_var,
+                            smap_system)
+from omlprob.linear import (SystemBuilder, enumerate_vertices, maximize,
+                            satisfies, with_premise)
 from omlprob.states import StateFn, validate_state
 
 F = Fraction
@@ -108,6 +111,82 @@ def test_jauch_piron_smap_implied(mo2, b3):
         v = jauch_piron_smap(l)
         assert v.verdict == "implied"
         assert v.certificate["addendum"] == "p(a,c)=p(c,a)=p(c,c)"
+
+
+def unit_box_system(l, axioms=(), pins=()):
+    """The unit box on every pair variable, the s-map rows of the given
+    axioms (in smap_system's order), and the equalities x = v of pins."""
+    sb = SystemBuilder([pair_var(a, b) for a, b in l.pairs()])
+    for a, b in l.pairs():
+        sb.add_box(pair_var(a, b))
+    sb.add_rows(sorted((row for row in _axiom_rows("s", l)
+                        if row[0] in axioms), key=lambda row: row[0]),
+                lambda pair: (pair_var(*pair),))
+    for name, v in pins:
+        sb.add_eq({name: 1}, v)
+    return sb.build()
+
+
+def assert_addendum_witness(sys, witness, gap):
+    """witness is an addendum failure whose gap is the first positive
+    maximum of x - y, then y - x, under the witness pair's premise."""
+    assert sorted(witness) == ["addendum", "gap", "pair"]
+    assert witness["gap"] == gap
+    a, b = witness["pair"].split(",")
+    x, y = witness["addendum"].split(" != ")
+    premise = with_premise(sys, {sys.index[pair_var(a, a)]: 1,
+                                 sys.index[pair_var(b, b)]: 1})
+    maxima = []
+    for sign in (1, -1):
+        coeffs = [F(0)] * len(sys.vars)
+        coeffs[sys.index[x]], coeffs[sys.index[y]] = sign, -sign
+        val, point = maximize(premise, coeffs)
+        assert satisfies(premise, point)
+        maxima.append(val)
+    assert F(gap) == next(val for val in maxima if val > 0)
+
+
+# witnesses of jauch_piron_smap on s-map systems cut down to some axioms,
+# computed before the property had one decision path; every lattice
+# keeps the full system's "implied", so only these reach "violated"
+_WEAKENED = {
+    ("b2", ("s1",)): ("0,0", "0|a != a|a"),
+    ("b2", ("s1", "s2")): ("a,a", "a|b != b|b"),
+    ("b2", ("s1", "s3")): ("1,1", "1|a != a|a"),
+    ("b3", ("s1",)): ("0,0", "0|a != a|a"),
+    ("b3", ("s1", "s2")): ("a,a", "a|b != b|b"),
+    ("b3", ("s1", "s3")): ("ab,ab", "ab|a != a|a"),
+    ("mo2", ("s1",)): ("0,0", "0|a != a|a"),
+    ("mo2", ("s1", "s2")): ("a,a", "a|a' != a'|a'"),
+    ("mo2", ("s1", "s3")): ("a,a", "a|b != b|b"),
+}
+
+
+@pytest.mark.parametrize("lname,axioms", sorted(_WEAKENED), ids=[
+    "%s-%s" % (l, "+".join(axioms)) for l, axioms in sorted(_WEAKENED)])
+def test_jauch_piron_smap_weakened_systems(lname, axioms, request,
+                                            monkeypatch):
+    l = request.getfixturevalue(lname)
+    sys = unit_box_system(l, axioms)
+    monkeypatch.setattr(analysis, "smap_system", lambda _l: sys)
+    v = jauch_piron_smap(l)
+    assert v.verdict == "violated"
+    pair, addendum = _WEAKENED[lname, axioms]
+    assert v.witness == {"pair": pair, "addendum": addendum, "gap": "1"}
+    assert_addendum_witness(sys, v.witness, "1")
+
+
+def test_jauch_piron_smap_gap_is_positive(b1, monkeypatch):
+    # the premise pins every variable: p(1,0) - p(0,0) is -1/2, and the
+    # gap reported is the positive maximum of p(0,0) - p(1,0)
+    sys = unit_box_system(b1, pins=[("0|0", F(1, 2)), ("0|1", F(1, 2)),
+                                    ("1|0", 0)])
+    monkeypatch.setattr(analysis, "smap_system", lambda _l: sys)
+    v = jauch_piron_smap(b1)
+    assert v.verdict == "violated"
+    assert v.witness == {"pair": "1,1", "addendum": "1|0 != 0|0",
+                         "gap": "1/2"}
+    assert_addendum_witness(sys, v.witness, "1/2")
 
 
 # -- pseudometric --------------------------------------------------------

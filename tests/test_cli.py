@@ -59,6 +59,14 @@ def files(tmp_path_factory):
     (d / "booleans.json").write_text(json.dumps(
         {"lattice": "b1.json", "values": {"0|0": False, "0|1": False,
                                           "1|0": False, "1|1": True}}))
+    # a value in exponent form stands for a 5001-digit denominator, and
+    # one in decimal form is no "p/q" string either
+    (d / "exponent.json").write_text(json.dumps(
+        {"lattice": "b1.json", "values": {"0|0": "0", "0|1": "0",
+                                          "1|0": "0", "1|1": "1e-5000"}}))
+    (d / "decimal.json").write_text(json.dumps(
+        {"lattice": "b1.json", "values": {"0|0": "0", "0|1": "0",
+                                          "1|0": "0", "1|1": "1.0"}}))
     return d
 
 
@@ -246,6 +254,10 @@ def test_usage_error_exit_code(capsys):
     (["check-lattice", "nested.json"], None, 2),
     (["check-map", "--system", "s", "mo2.json", "nested.json"], None, 2),
     (["check-map", "--system", "s", "b1.json", "booleans.json"], None, 2),
+    (["check-map", "--system", "s", "b1.json", "exponent.json"], None, 2),
+    (["check-map", "--system", "s", "b1.json", "decimal.json"], None, 2),
+    (["construct", "--family", "gamma9", "--lattice", "mo2.json",
+      "--params", "1e-5000,0,0,1"], None, 2),
 ], ids=["non-oml-property", "non-oml-states", "non-oml-check-map",
         "non-object-lattice", "order-triple", "order-triple-check-lattice",
         "cap-below-vertices", "cap-zero", "bad-max-elements",
@@ -254,7 +266,8 @@ def test_usage_error_exit_code(capsys):
         "negative-vertices", "negative-cap", "non-utf8-check-lattice",
         "non-utf8-states", "non-utf8-property", "non-utf8-search",
         "nested-lattice", "nested-lattice-check-lattice", "nested-map",
-        "boolean-map-values"])
+        "boolean-map-values", "exponent-map-value", "decimal-map-value",
+        "exponent-params"])
 def test_bad_input_exit_codes(files, capsys, monkeypatch, argv, env, code):
     # each input once escaped main() as a traceback or exited 0 or 2
     if env is not None:

@@ -15,7 +15,6 @@ from omlprob.linear import (
     Polytope,
     SystemBuilder,
     Unbounded,
-    certify_implied,
     enumerate_vertices,
     maximize,
     propagate_unit_box,
@@ -155,46 +154,37 @@ def test_vertices_unbounded_refused():
         enumerate_vertices(sb.build(), 10)
 
 
-# -- certification -------------------------------------------------------
-
-
-def test_certify_implied_true():
-    cert = certify_implied(triangle(), [F(1), F(1)], F(1))
-    assert cert.implied
-    assert cert.optimum == 1
-
-
-def test_certify_implied_false_with_counterexample():
-    cert = certify_implied(unit_square(), [F(1), F(1)], F(1))
-    assert not cert.implied
-    assert cert.optimum == 2
-    assert satisfies(unit_square(), cert.counterexample)
-
-
 def direct_build(sys):
     """The same system as a Polytope reduced from scratch."""
     return Polytope(sys.vars, sys.eqs, sys.ineqs)
 
 
 def pins(sys, values):
-    """Unit-pin premise rows x_name = v, as dense x-space rows."""
-    rows = []
-    for name, v in values.items():
-        coeffs = [0] * len(sys.vars)
-        coeffs[sys.index[name]] = 1
-        rows.append((coeffs, v))
-    return rows
+    """A premise {name: v} as pins {variable index: v}."""
+    return {sys.index[name]: v for name, v in values.items()}
 
 
 def test_with_premise_matches_direct_build():
     base = unit_square()
-    premise = [((F(1), F(-1)), F(0))]  # x = y
-    sys2 = with_premise(base, premise)
-    val, _ = maximize(sys2, [F(1), F(1)])
-    assert val == 2  # x = y = 1
+    sys2 = with_premise(base, {0: F(1, 2)})  # x = 1/2
+    assert sys2.eqs == (((F(1), F(0)), F(1, 2)),)
+    val, point = maximize(sys2, [F(1), F(1)])
+    assert (val, point) == (F(3, 2), (F(1, 2), F(1)))
     val, _ = maximize(sys2, [F(1), F(-2)])
-    assert val == 0  # x - 2y = -x maximized at x = 0
+    assert val == F(1, 2)  # x - 2y maximized at y = 0
     assert sys2.reduced == direct_build(sys2).reduced
+
+    # a redundant pin changes neither the reduction nor the optimum
+    again = with_premise(sys2, {0: F(1, 2)})
+    assert again.reduced == sys2.reduced == direct_build(again).reduced
+    assert maximize(again, [F(1), F(1)]) == (F(3, 2), (F(1, 2), F(1)))
+
+    # a pin that conflicts with an earlier one, or with the box, empties
+    # the system in elimination already
+    for child in (with_premise(sys2, {0: 1}), with_premise(base, {0: 2})):
+        assert child.reduced is None
+        with pytest.raises(Infeasible):
+            maximize(child, [F(1), F(1)])
 
     # restricted in the parent's t-space, the child reduces to exactly
     # the x0, basis, rows, rhs (and row order) of a from-scratch build

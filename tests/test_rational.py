@@ -20,7 +20,10 @@ def test_parse_accepts_numbers():
 
 
 def test_parse_rejects_garbage():
-    for bad in ("", "1/0", "a/b", "1.5.2", None):
+    # only "p/q" and integer strings: no decimal, exponent, underscore
+    # or spaced forms, which Fraction itself would accept
+    for bad in ("", "1/0", "a/b", "1.5.2", None, "0.5", "1e3", "1e-5000",
+                "1/2e1", "1_000", "1 / 2", "inf", "nan"):
         with pytest.raises(ValueError):
             parse_rat(bad)
 
