@@ -200,32 +200,27 @@ def jauch_piron_state(l: Oml) -> PropertyVerdict:
 
 def _smap_pair_witness(l: Oml, sys: Polytope, a: str, b: str):
     """The first witness that sys, the s-map system under the premise
-    p(a,a) = p(b,b) = 1, breaks the conclusion p(a,b) = 1 or the
-    addendum; None when it keeps both.  Each question is whether some
-    coeffs . x + const can be positive on sys: 1 - p(a,b), or x - y or
-    y - x for x = p(a,c) or p(c,a) and y = p(c,c).  The affine hull
-    settles it when the functional is constant there, else maximize.
-    Raises Infeasible when sys is empty."""
+    p(a,a) = p(b,b) = 1, breaks the addendum; None when it keeps it.
+    Each question is whether x - y or y - x can be positive on sys, for
+    x = p(a,c) or p(c,a) and y = p(c,c): settled by the affine hull when
+    the functional is constant there, else by maximize.  The conclusion
+    p(a,b) = 1 needs no question: pair (a,a) came first, and its
+    addendum at c = b made p(a,b) = p(b,b) under p(a,a) = 1.  Raises
+    Infeasible when sys is empty."""
     pair = "%s,%s" % (a, b)
-    questions = [({pair_var(a, b): -1}, ONE, None)] + [
-        ({x: s, y: -s}, ZERO, (x, y)) for c in l.elements
-        for x, y in ((pair_var(a, c), pair_var(c, c)),
-                     (pair_var(c, a), pair_var(c, c))) if x != y
-        for s in (1, -1)]
-    for coeffs, const, addendum in questions:
+    questions = [((x, y), {x: s, y: -s}) for c in l.elements
+                 for x, y in ((pair_var(a, c), pair_var(c, c)),
+                              (pair_var(c, a), pair_var(c, c))) if x != y
+                 for s in (1, -1)]
+    for addendum, coeffs in questions:
         vec = _coeff_vec(sys, coeffs)
         base, obj = functional_on(sys, vec)
-        if not any(obj) and base + const <= 0:
+        if not any(obj) and base <= 0:
             continue
-        val, point = maximize(sys, vec, const)
-        if val <= 0:
-            continue
-        if addendum is None:
-            return {"pair": pair, "p(a,b)": fmt_rat(ONE - val),
-                    "map": {k: fmt_rat(v)
-                            for k, v in _named(sys, point).items()}}
-        return {"pair": pair, "addendum": "%s != %s" % addendum,
-                "gap": fmt_rat(val)}
+        val, _point = maximize(sys, vec)
+        if val > 0:
+            return {"pair": pair, "addendum": "%s != %s" % addendum,
+                    "gap": fmt_rat(val)}
     return None
 
 

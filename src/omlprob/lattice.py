@@ -230,10 +230,10 @@ def validate_oml(candidate: dict) -> Oml:
 
     The candidate maps "elements" to a list of string ids, "leq" (full or
     partial order pairs) or "covers" to a list of [x, y] pairs meaning
-    x <= y, "comp" to the orthocomplement map, and "bot"/"top" to the
-    extremes.  The order is normalized to its reflexive-transitive
-    closure.  Raises NotALattice, ComplementAxiom or
-    OrthomodularLawFailure naming the first violated axiom.
+    x <= y, "comp" to the orthocomplement map on exactly the elements,
+    and "bot"/"top" to the extremes.  The order is normalized to its
+    reflexive-transitive closure.  Raises NotALattice, ComplementAxiom
+    or OrthomodularLawFailure naming the first violated axiom.
     """
     unknown = set(candidate) - _LATTICE_KEYS
     if unknown:
@@ -335,6 +335,9 @@ def validate_oml(candidate: dict) -> Oml:
             if (a, b) in leq:
                 if join_table[(a, meet_table[(comp[a], b)])] != b:
                     raise OrthomodularLawFailure(a, b)
+    for x in comp:
+        if x not in elem_set:
+            raise ComplementAxiom("i", "comp names unknown element %r" % (x,))
 
     return Oml(elements, leq, comp, bot, top, meet_table, join_table)
 

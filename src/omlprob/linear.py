@@ -15,9 +15,10 @@ rank one, in O(m.d), with no tableau or slack columns.  A dual simplex
 with zero objective finds one start vertex per Polytope (or proves it
 empty), and the Polytope keeps it; each objective runs the primal
 simplex from that vertex, so no result depends on earlier calls.  Both
-use Bland's rule and terminate.  Vertex enumeration walks every
-feasible basis those pivots reach from the start vertex.  The module
-keeps no state between calls.
+use Bland's rule and terminate.  Vertex enumeration walks the bases
+those pivots reach from the start vertex: from each basis, each slot
+relaxes and Bland's entering row takes its place.  The module keeps no
+state between calls.
 
 Intended for desk-scale instances (tens of variables); see the module
 users for the size discipline.
@@ -550,18 +551,18 @@ def _start_vertex(red: _Reduction):
 
 
 def _entering(b: _Basis, gamma):
-    """Rows tied for the minimum ratio slack[r] / -gamma[r] as slot k of
-    b relaxes (gamma = b.column(k)), in index order; [] if none bounds."""
-    sign, tied = (1 if b.det > 0 else -1), []
-    for r, g in enumerate(gamma):
-        if g * sign < 0:
-            e = tied[0] if tied else r
-            cmp = b.slack[r] * gamma[e] - b.slack[e] * g  # > 0: r first
-            if cmp > 0:
-                tied = []
-            if cmp >= 0:
-                tied.append(r)
-    return tied
+    """The row that enters as slot k of b relaxes (gamma = b.column(k)):
+    the least ratio slack[r] / -gamma[r], ties to the lowest index, as
+    Bland's rule takes it.  Raises Unbounded when no row bounds the
+    move."""
+    sign, e = (1 if b.det > 0 else -1), None
+    for r, g in enumerate(gamma):  # r before e if its ratio is less
+        if g * sign < 0 and (e is None
+                             or b.slack[r] * gamma[e] > b.slack[e] * g):
+            e = r
+    if e is None:
+        raise Unbounded()
+    return e
 
 
 def _max_t(start: _Basis, obj):
@@ -591,10 +592,7 @@ def _max_t(start: _Basis, obj):
             return sum(c * x for c, x in zip(obj, t)), t
         k = min(out, key=b.basis.__getitem__)
         gamma = b.column(k)
-        enter = _entering(b, gamma)
-        if not enter:
-            raise Unbounded()
-        b.pivot(k, enter[0], gamma)
+        b.pivot(k, _entering(b, gamma), gamma)
 
 
 # -- public operations ---------------------------------------------------
@@ -639,34 +637,34 @@ def solve(sys: Polytope) -> PolyInfo:
 def enumerate_vertices(sys: Polytope, cap: int = 10000):
     """All vertices of a bounded system, lexicographic by variable vector.
 
-    A walk over feasible bases from the start vertex: each slot of each
-    basis relaxes in turn, and a copy pivots to every row tied in the
-    ratio test, unless that row set was seen.  Raises Unbounded if the
-    rows leave a line or a relaxed slot meets no row, CapExceeded (with
-    the partial, sorted list attached) if more than `cap` vertices exist.
+    A walk over bases from the start vertex: each slot of each basis
+    relaxes in turn, and a copy makes the simplex's pivot, swapping in
+    the row _entering picks, unless that row set was seen.  Raises
+    Unbounded if the rows leave a line or a relaxed slot meets no row,
+    CapExceeded (with the partial, sorted list attached) if more than
+    `cap` vertices exist.
     """
     red, start = sys.reduced, sys.start
     if start is None:
         return []
     # Every vertex is met: for an objective inside its normal cone,
-    # Bland's simplex from start reaches it by these pivots.  A pivot
-    # to any tied row is undone by one, so following every tie visits
-    # all feasible bases joined to start, whichever tie comes first.
+    # Bland's simplex from start ends there.  Each of its pivots depends
+    # only on the basis's row set and the row that leaves, and the walk
+    # relaxes every slot of every row set it reaches, so it takes every
+    # pivot of that run.  So too for an objective that grows along an
+    # unbounded direction: its run ends at a slot no row bounds.
     found, seen, stack = set(), {frozenset(start.basis)}, [start]
     while stack:
         b = stack.pop()
         for k, leaving in enumerate(b.basis):
             gamma = b.column(k)
-            enter = _entering(b, gamma)
-            if not enter:  # also at a pin: the rows leave a line
-                raise Unbounded()
-            for e in enter:
-                key = frozenset(b.basis) - {leaving} | {e}
-                if key not in seen:
-                    seen.add(key)
-                    nxt = b.copy()
-                    nxt.pivot(k, e, gamma)
-                    stack.append(nxt)
+            e = _entering(b, gamma)  # Unbounded at a pin: rows leave a line
+            key = frozenset(b.basis) - {leaving} | {e}
+            if key not in seen:
+                seen.add(key)
+                nxt = b.copy()
+                nxt.pivot(k, e, gamma)
+                stack.append(nxt)
         found.add(b.point())
         if len(found) > cap:
             raise CapExceeded(sorted(
@@ -674,8 +672,8 @@ def enumerate_vertices(sys: Polytope, cap: int = 10000):
     return sorted(_lift(red.x0, red.basis, t) for t in found)
 
 
-def maximize(sys: Polytope, coeffs, const=ZERO):
-    """Exact maximum of coeffs . x + const over sys; (value, argmax).
+def maximize(sys: Polytope, coeffs):
+    """Exact maximum of coeffs . x over sys; (value, argmax).
 
     Raises Infeasible on an empty system, Unbounded when the objective
     is unbounded above.
@@ -684,7 +682,5 @@ def maximize(sys: Polytope, coeffs, const=ZERO):
     if red is None:
         raise Infeasible()
     base, obj = _functional(red.x0, red.basis, coeffs)
-    base += Fraction(const)
     val, t = _max_t(sys.start, obj)
-    return base + val, _lift(red.x0, red.basis, t)
-
+    return Fraction(base + val), _lift(red.x0, red.basis, t)

@@ -51,6 +51,9 @@ def files(tmp_path_factory):
     (d / "int-ids.json").write_text(json.dumps(
         {"elements": [0, 1], "leq": [[0, 1]], "comp": {"0": 1, "1": 0},
          "bot": 0, "top": 1}))
+    # a complement given for "zz", which is no element
+    (d / "unknown-comp.json").write_text(json.dumps(
+        dict(two, comp={"b": "t", "t": "b", "zz": "b"})))
     (d / "b4.json").write_text(lattice.boolean_algebra(4).to_json())
     (d / "mo4.json").write_text(lattice.mo(4).to_json())
     (d / "non-utf8.json").write_bytes(b"\xff\xfe")
@@ -258,6 +261,7 @@ def test_usage_error_exit_code(capsys):
     (["check-map", "--system", "s", "b1.json", "decimal.json"], None, 2),
     (["construct", "--family", "gamma9", "--lattice", "mo2.json",
       "--params", "1e-5000,0,0,1"], None, 2),
+    (["check-lattice", "unknown-comp.json"], None, 1),
 ], ids=["non-oml-property", "non-oml-states", "non-oml-check-map",
         "non-object-lattice", "order-triple", "order-triple-check-lattice",
         "cap-below-vertices", "cap-zero", "bad-max-elements",
@@ -267,7 +271,7 @@ def test_usage_error_exit_code(capsys):
         "non-utf8-states", "non-utf8-property", "non-utf8-search",
         "nested-lattice", "nested-lattice-check-lattice", "nested-map",
         "boolean-map-values", "exponent-map-value", "decimal-map-value",
-        "exponent-params"])
+        "exponent-params", "unknown-comp-key"])
 def test_bad_input_exit_codes(files, capsys, monkeypatch, argv, env, code):
     # each input once escaped main() as a traceback or exited 0 or 2
     if env is not None:

@@ -81,6 +81,14 @@ def test_bad_complement_detected(mo2):
         validate_oml(d)
 
 
+def test_complement_of_unknown_element_detected():
+    d = {"elements": ["0", "1"], "leq": [["0", "1"]],
+         "comp": {"0": "1", "1": "0", "zz": "0"}, "bot": "0", "top": "1"}
+    with pytest.raises(ComplementAxiom) as e:
+        validate_oml(d)
+    assert e.value.axiom == "i" and "'zz'" in str(e.value)
+
+
 def test_missing_join_detected():
     # three-element chainless poset {0, a, b} has no top
     d = {"elements": ["0", "a", "b"], "leq": [["0", "a"], ["0", "b"]],

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from omlprob import lattice, linear
 from omlprob.analysis import bell1_state
-from omlprob.bimaps import pair_var, smap_system
+from omlprob.bimaps import gmap_system, jmap_system, pair_var, smap_system
 from omlprob.linear import (
     CapExceeded,
     Infeasible,
@@ -474,23 +474,50 @@ _B, _MO = lattice.boolean_algebra, lattice.mo
     *[(state_system, _MO(n)) for n in (2, 3, 4, 5, 6)],
     (state_system, lattice.horizontal_sum([_B(3), _B(2), _B(2)])),
     *[(smap_system, l) for l in (_B(2), _B(3), _MO(2))],
+    (jmap_system, _MO(2)),
 ], ids=["states-2^2", "states-2^3", "states-2^4",
         "states-MO(2)", "states-MO(3)", "states-MO(4)", "states-MO(5)",
         "states-MO(6)", "states-HS3", "smaps-2^2", "smaps-2^3",
-        "smaps-MO(2)"])
+        "smaps-MO(2)", "jmaps-MO(2)"])
 def test_walk_matches_subset_enumeration(system, l):
     sys = system(l)
     assert enumerate_vertices(sys) == subset_vertices(sys)
 
 
-def test_b5_state_vertices_are_the_point_masses():
-    # [DERIVED] a state of 2^5 is a probability vector on its five atoms:
+@pytest.mark.parametrize("n", [5, 6], ids=["2^5", "2^6"])
+def test_b5_state_vertices_are_the_point_masses(n):
+    # [DERIVED] a state of 2^n is a probability vector on its n atoms:
     # the simplex of the point masses m_x(y) = [x <= y] (the subset
-    # enumeration solves 27405 systems for these five)
-    l = _B(5)
+    # enumeration solves 27405 systems for the five of 2^5)
+    l = _B(n)
     masses = sorted(tuple(F(l.leq(x, y)) for y in l.elements)
                     for x in l.atoms())
     assert enumerate_vertices(state_system(l)) == masses
+
+
+@pytest.mark.parametrize("n", [2, 3], ids=["2^2", "2^3"])
+def test_boolean_gamma9_vertices_are_the_pure_projections(n):
+    # [DERIVED] on a Boolean algebra the Gamma9 G-maps (corners 0011)
+    # are G(a, b) = m(a) for a state m, so the vertices are the pure
+    # projections G(a, b) = [x <= a] of the atoms' point masses
+    l = _B(n)
+    projections = sorted(tuple(F(l.leq(x, a)) for a, _b in l.pairs())
+                         for x in l.atoms())
+    sys = gmap_system(l, (0, 0, 1, 1))
+    assert sys.vars == tuple(pair_var(a, b) for a, b in l.pairs())
+    assert enumerate_vertices(sys) == projections
+
+
+@pytest.mark.parametrize("system,l,cap", [
+    (state_system, _B(4), 2), (smap_system, _MO(2), 3),
+], ids=["states-2^4", "smaps-MO(2)"])
+def test_capped_walk_keeps_cap_sorted_vertices(system, l, cap):
+    full = enumerate_vertices(system(l))
+    with pytest.raises(CapExceeded) as e:
+        enumerate_vertices(system(l), cap)
+    part = e.value.vertices
+    assert len(part) == cap and part == sorted(part)
+    assert set(part) <= set(full)
 
 
 def test_mo10_state_vertices_are_the_cube():
