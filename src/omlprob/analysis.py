@@ -6,16 +6,21 @@ inequality's left side over the relevant axiom polytope (an LP
 certificate); "violated" comes with a witness assignment that
 re-evaluates to a violation under exact arithmetic.  All searches run
 in a fixed deterministic order (element order, then lexicographic).
+Every system here is built from lattice operations alone, so a Bell
+target or Jauch-Piron pair is solved only when it comes first in its
+Aut(L) orbit; a reported one is the first to attain its value, so it
+comes first in its orbit too.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .bimaps import BiMap, pair_var, smap_system
-from .lattice import Oml
+from .lattice import Oml, tuple_orbits
 from .linear import (Polytope, SystemBuilder, enumerate_vertices,
                      first_violation, functional_on, maximize,
                      propagate_unit_box, with_premise, Infeasible)
@@ -56,33 +61,32 @@ def _named(sys: Polytope, point) -> dict:
 _BELL_PAIRS = {2: ((0, 1),), 3: ((0, 1), (0, 2), (2, 1))}
 
 
-def _bell_targets(l: Oml, arity: int, var):
-    """(label, coeffs) for every element tuple xs of the given length:
-    sum_i v(x_i, x_i) - sum v(x_i, x_j) over the tuple's joint terms,
-    with var(x, y) naming the variable of v(x, y).  Coefficients of a
-    variable that recurs are added up."""
-    for xs in itertools.product(l.elements, repeat=arity):
-        coeffs = {}
-        terms = ([(var(x, x), 1) for x in xs]
-                 + [(var(xs[i], xs[j]), -1) for i, j in _BELL_PAIRS[arity]])
-        for name, sign in terms:
-            coeffs[name] = coeffs.get(name, 0) + sign
-        yield ",".join(xs), coeffs
+def _bell_coeffs(xs, var) -> Counter:
+    """sum_i v(x_i, x_i) - sum v(x_i, x_j) over the joint terms of the
+    element tuple xs, with var(x, y) naming the variable of v(x, y)."""
+    coeffs = Counter(var(x, x) for x in xs)
+    coeffs.subtract(var(xs[i], xs[j]) for i, j in _BELL_PAIRS[len(xs)])
+    return coeffs
 
 
 def _bell(prop: str, l: Oml, sys: Polytope, arity: int, var):
     """Exact max of every Bell target over sys against the bound 1.
 
     "implied" reports each target's maximum; "violated" reports the
-    first target attaining the global maximum and its maximizer.
+    first target attaining the global maximum and its maximizer.  sys
+    must be Aut(l)-invariant through var, as the state and s-map systems
+    and pseudometric rows are: only each orbit's first target is solved.
     """
-    worst = None
-    certs = {}
-    for label, coeffs in _bell_targets(l, arity, var):
-        val, point = maximize(sys, _coeff_vec(sys, coeffs))
-        certs[label] = fmt_rat(val)
-        if worst is None or val > worst[0]:
-            worst = (val, label, point)
+    reps = tuple_orbits(l, arity)
+    worst, certs, maxima = None, {}, {}
+    for code, xs in enumerate(itertools.product(l.elements, repeat=arity)):
+        label = ",".join(xs)
+        if reps[code] == code:
+            val, point = maximize(sys, _coeff_vec(sys, _bell_coeffs(xs, var)))
+            maxima[code] = fmt_rat(val)
+            if worst is None or val > worst[0]:
+                worst = (val, label, point)
+        certs[label] = maxima[reps[code]]
     val, label, point = worst
     if val <= ONE:
         return PropertyVerdict(prop, repr(l), "implied",
@@ -169,15 +173,17 @@ def jauch_piron_state(l: Oml) -> PropertyVerdict:
 
     For each pair, minimizes m(a^b) over the states satisfying the
     premise; a minimum below 1 is a violation witness.  The pair (b, a)
-    has the premise and minimum of (a, b), so only pairs with a no later
-    than b are solved; the witness is the first pair, in product order,
-    attaining the least minimum, as over all ordered pairs.
+    and every Aut(l) image of (a, b) have the minimum of (a, b), so
+    only the first pair of each orbit under Aut(l) and the swap is
+    solved; the witness is the first pair, in product order, attaining
+    the least minimum, as over all ordered pairs.
     """
     base = state_system(l)
     worst = None
-    pairs = ((a, b) for i, a in enumerate(l.elements)
-             for b in l.elements[i:])
-    for a, b in pairs:
+    n, reps = len(l.elements), tuple_orbits(l, 2)
+    for code, (a, b) in enumerate(l.pairs()):
+        if min(reps[code], reps[code % n * n + code // n]) != code:
+            continue
         sys = with_premise(base, {base.index[a]: 1, base.index[b]: 1})
         try:
             negmin, point = maximize(sys, _coeff_vec(sys, {l.meet(a, b): -1}))
@@ -204,9 +210,9 @@ def _smap_pair_witness(l: Oml, sys: Polytope, a: str, b: str):
     Each question is whether x - y or y - x can be positive on sys, for
     x = p(a,c) or p(c,a) and y = p(c,c): settled by the affine hull when
     the functional is constant there, else by maximize.  The conclusion
-    p(a,b) = 1 needs no question: pair (a,a) came first, and its
-    addendum at c = b made p(a,b) = p(b,b) under p(a,a) = 1.  Raises
-    Infeasible when sys is empty."""
+    p(a,b) = 1 needs no question: pair (a,a) or one of its orbit came
+    first, and its addendum at c = b made p(a,b) = p(b,b) under
+    p(a,a) = 1.  Raises Infeasible when sys is empty."""
     pair = "%s,%s" % (a, b)
     questions = [((x, y), {x: s, y: -s}) for c in l.elements
                  for x, y in ((pair_var(a, c), pair_var(c, c)),
@@ -231,24 +237,28 @@ def jauch_piron_smap(l: Oml) -> PropertyVerdict:
     Per premise pair, exact bound propagation over the axiom equalities
     pins what the premise forces (as the hand proof runs) or proves it
     infeasible.  The s-map system with those pins answers every question
-    of the pair; when it is empty the implication is vacuous.
+    of the pair; when it is empty the implication is vacuous.  Of each
+    Aut(l) orbit only the first pair with a no later than b is asked;
+    the swap (b, a) is no symmetry here, as the addendum asks about a.
     """
     base = smap_system(l)
     index = base.index
-    for i, a in enumerate(l.elements):
-        for b in l.elements[i:]:
-            known = propagate_unit_box(base, {index[pair_var(a, a)]: ONE,
-                                              index[pair_var(b, b)]: ONE})
-            if known is None:
-                continue  # premise proven infeasible
-            try:
-                witness = _smap_pair_witness(
-                    l, with_premise(base, known), a, b)
-            except Infeasible:
-                continue  # premise infeasible, implication vacuous
-            if witness is not None:
-                return PropertyVerdict("jauch-piron-smap", repr(l),
-                                       "violated", witness=witness)
+    n, reps, asked = len(l.elements), tuple_orbits(l, 2), set()
+    for code, (a, b) in enumerate(l.pairs()):
+        if code // n > code % n or reps[code] in asked:
+            continue
+        asked.add(reps[code])
+        known = propagate_unit_box(base, {index[pair_var(a, a)]: ONE,
+                                          index[pair_var(b, b)]: ONE})
+        if known is None:
+            continue  # premise proven infeasible
+        try:
+            witness = _smap_pair_witness(l, with_premise(base, known), a, b)
+        except Infeasible:
+            continue  # premise infeasible, implication vacuous
+        if witness is not None:
+            return PropertyVerdict("jauch-piron-smap", repr(l),
+                                   "violated", witness=witness)
     return PropertyVerdict("jauch-piron-smap", repr(l), "implied",
                            certificate={"conclusion": "p(a,b)=1",
                                         "addendum": "p(a,c)=p(c,a)=p(c,c)"})

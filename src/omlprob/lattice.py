@@ -20,10 +20,13 @@ _LATTICE_KEYS = {"elements", "leq", "covers", "comp", "bot", "top"}
 
 
 def max_elements() -> int:
-    """Size bound for lattices; override with OMLPROB_MAX_ELEMENTS."""
+    """Size bound for lattices; override with OMLPROB_MAX_ELEMENTS.
+    Raises ValueError for a value that is no integer or is below 2."""
     raw = os.environ.get("OMLPROB_MAX_ELEMENTS")
     if raw is None:
         return DEFAULT_MAX_ELEMENTS
+    if int(raw) < 2:  # every lattice has bot and top
+        raise ValueError("%s is below 2" % raw)
     return int(raw)
 
 
@@ -508,3 +511,83 @@ def blocks(l: Oml) -> list:
         result.append(tuple(members))
     result.sort()
     return result
+
+
+# -- automorphisms -------------------------------------------------------
+
+
+def automorphism_generators(l: Oml) -> list:
+    """A strong generating set of Aut(l), the permutations of the
+    elements that preserve <= both ways and commute with ', as tuples
+    g of positions, g[i] the image of i; the group is never listed.
+
+    For i from n-1 down, and each y the kept generators do not map i
+    to, keep one automorphism fixing 0..i-1 that maps i to y, if any:
+    |Aut(l)| is the product over i of the orbit sizes so found.  Each
+    is found by backtracking over positions in order: an image keeps
+    the up- and down-set sizes, x and x' are mapped together, and <=
+    is checked both ways against every mapped position."""
+    n = len(l.elements)
+    comp = [l.elements.index(l.ocomp(x)) for x in l.elements]
+    leq = [[l.leq(x, y) for y in l.elements] for x in l.elements]
+    size = [(sum(leq[x]), sum(row[x] for row in leq)) for x in range(n)]
+
+    def extend(perm, images=range(n)):
+        # perm: images of a '-closed set of positions, None elsewhere
+        if None not in perm:
+            return tuple(perm)
+        x = perm.index(None)
+        for z in images:
+            trial = list(perm)
+            trial[x], trial[comp[x]] = z, comp[z]
+            if size[z] == size[x] and z not in perm and all(
+                    leq[u][w] == leq[trial[u]][trial[w]]
+                    and leq[w][u] == leq[trial[w]][trial[u]]
+                    for u in (x, comp[x]) for w in range(n)
+                    if trial[w] is not None):
+                if found := extend(trial):
+                    return found
+        return None
+
+    gens = []
+    for i in reversed(range(n)):
+        if comp[i] < i:
+            continue  # fixing comp[i] fixes i
+        fixed = [x if min(x, comp[x]) < i else None for x in range(n)]
+        for y in range(i + 1, n):
+            if y not in _orbit(i, gens) and (g := extend(fixed, (y,))):
+                gens.append(g)
+    return gens
+
+
+def _orbit(x: int, gens) -> set:
+    orbit, todo = {x}, [x]
+    while todo:
+        y = todo.pop()
+        todo += {g[y] for g in gens} - orbit
+        orbit.update(todo)
+    return orbit
+
+
+def tuple_orbits(l: Oml, k: int) -> list:
+    """rep[code], the least code in the Aut(l)-orbit of each k-tuple of
+    positions, coded x_0·n^(k-1) + ... + x_{k-1} (product order); each
+    orbit is labelled by a search from its least code, O(n^k · |gens|)."""
+    n = len(l.elements)
+    images = []
+    for g in automorphism_generators(l):
+        image = [0]
+        for _ in range(k):
+            image = [c * n + y for c in image for y in g]
+        images.append(image)
+    rep = [-1] * n ** k
+    for code in range(n ** k):
+        if rep[code] < 0:
+            rep[code], todo = code, [code]
+            while todo:
+                c = todo.pop()
+                for image in images:
+                    if rep[image[c]] < 0:
+                        rep[image[c]] = code
+                        todo.append(image[c])
+    return rep

@@ -56,6 +56,9 @@ def files(tmp_path_factory):
         dict(two, comp={"b": "t", "t": "b", "zz": "b"})))
     (d / "b4.json").write_text(lattice.boolean_algebra(4).to_json())
     (d / "mo4.json").write_text(lattice.mo(4).to_json())
+    (d / "mo5.json").write_text(lattice.mo(5).to_json())
+    (d / "hs3.json").write_text(lattice.horizontal_sum(
+        [lattice.boolean_algebra(k) for k in (3, 2, 2)]).to_json())
     (d / "non-utf8.json").write_bytes(b"\xff\xfe")
     (d / "nested.json").write_text("[" * 200000)
     # the values of 2^1's s-map m(a^b), written as JSON booleans
@@ -262,6 +265,8 @@ def test_usage_error_exit_code(capsys):
     (["construct", "--family", "gamma9", "--lattice", "mo2.json",
       "--params", "1e-5000,0,0,1"], None, 2),
     (["check-lattice", "unknown-comp.json"], None, 1),
+    (["check-lattice", "mo2.json"], "0", 2),
+    (["check-lattice", "mo2.json"], "-1", 2),
 ], ids=["non-oml-property", "non-oml-states", "non-oml-check-map",
         "non-object-lattice", "order-triple", "order-triple-check-lattice",
         "cap-below-vertices", "cap-zero", "bad-max-elements",
@@ -271,7 +276,8 @@ def test_usage_error_exit_code(capsys):
         "non-utf8-states", "non-utf8-property", "non-utf8-search",
         "nested-lattice", "nested-lattice-check-lattice", "nested-map",
         "boolean-map-values", "exponent-map-value", "decimal-map-value",
-        "exponent-params", "unknown-comp-key"])
+        "exponent-params", "unknown-comp-key", "max-elements-zero",
+        "max-elements-negative"])
 def test_bad_input_exit_codes(files, capsys, monkeypatch, argv, env, code):
     # each input once escaped main() as a traceback or exited 0 or 2
     if env is not None:
@@ -310,10 +316,10 @@ _SMAP_IMPLIED = {"certificate": {"addendum": "p(a,c)=p(c,a)=p(c,c)",
                  "verdict": "implied", "witness": None}
 
 
-def _state_violated(state):
+def _state_violated(state, pair="a,b"):
     return {"certificate": None, "details": None,
             "property": "jauch-piron-state", "verdict": "violated",
-            "witness": {"m(a^b)": "0", "pair": "a,b", "state": state}}
+            "witness": {"m(a^b)": "0", "pair": pair, "state": state}}
 
 
 JAUCH_PIRON_GOLDENS = {
@@ -336,6 +342,17 @@ JAUCH_PIRON_GOLDENS = {
     ("jauch-piron-smap", "b3"): (0, _SMAP_IMPLIED),
     ("jauch-piron-smap", "mo2"): (0, _SMAP_IMPLIED),
     ("jauch-piron-smap", "mo3"): (0, _SMAP_IMPLIED),
+    # pinned from the all-pairs loop, before pairs were grouped by orbit
+    ("jauch-piron-state", "mo5"): (1, _state_violated(
+        {"0": "0", "1": "1", "a": "1", "a'": "0", "b": "1", "b'": "0",
+         "c": "1", "c'": "0", "d": "1", "d'": "0", "e": "1", "e'": "0"})),
+    ("jauch-piron-state", "hs3"): (1, _state_violated(
+        {"0": "0", "1": "1", "a#0": "1", "a#1": "1", "a#2": "1",
+         "ab#0": "1", "ac#0": "1", "b#0": "0", "b#1": "0", "b#2": "0",
+         "bc#0": "0", "c#0": "0"}, "a#0,a#1")),
+    ("jauch-piron-smap", "b4"): (0, _SMAP_IMPLIED),
+    ("jauch-piron-smap", "mo5"): (0, _SMAP_IMPLIED),
+    ("jauch-piron-smap", "hs3"): (0, _SMAP_IMPLIED),
 }
 
 
@@ -376,6 +393,21 @@ BELL_GOLDENS = {
     ("bell2-smap", "b3"): (0, "implied", "1", "b14cce9b675f5547"),
     ("bell2-smap", "mo2"): (1, "violated", "3/2", "7cb73b56e45db544"),
     ("bell2-smap", "mo3"): (1, "violated", "3/2", "b567e7f6563d2990"),
+    # pinned from the all-targets loop, before targets were grouped by
+    # orbit; the violated ones test that the witness target is unchanged
+    ("bell1-state", "b4"): (0, "implied", "1", "a5d84b6471ce1c81"),
+    ("bell1-state", "mo4"): (1, "violated", "2", "aa2875a3d575a586"),
+    ("bell1-state", "mo5"): (1, "violated", "2", "fdb61521a0423e43"),
+    ("bell1-state", "hs3"): (1, "violated", "2", "789c4fd7926a61a2"),
+    ("bell2-state", "b4"): (0, "implied", "1", "03e8a6db61ea129e"),
+    ("bell2-state", "mo4"): (1, "violated", "3", "58616c8d22142ef5"),
+    ("bell2-state", "mo5"): (1, "violated", "3", "c544bc588f951ea0"),
+    ("bell2-state", "hs3"): (1, "violated", "3", "016ce8169b738a88"),
+    ("bell1-smap", "b4"): (0, "implied", "1", "ea52a731dc1a0411"),
+    ("bell1-smap", "mo4"): (0, "implied", "1", "deaa3cb7cbd3ea31"),
+    ("bell1-smap", "mo5"): (0, "implied", "1", "434d6e8dc7c69436"),
+    ("bell1-smap", "hs3"): (0, "implied", "1", "1ab594e6a5c0c023"),
+    ("bell2-smap", "mo4"): (1, "violated", "3/2", "6bb0b4f541d866d0"),
 }
 
 
