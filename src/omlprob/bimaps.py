@@ -455,7 +455,7 @@ def _semantic_rows(l: Oml, gamma: int):
     const, read, connective = _SEMANTICS[gamma]
     label = "semantics-gamma%d" % gamma
     for a, b in l.pairs():
-        if l.compatible(a, b) and l.compatible(b, a):
+        if l.compatible(a, b):
             term = (read(l, connective(l, a, b)),) if read else ()
             plus, minus = ((), term) if const else (term, ())
             yield label, (a, b), (a, b), plus, minus, const, False

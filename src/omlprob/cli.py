@@ -63,11 +63,12 @@ def cmd_check_lattice(args) -> int:
     except lattice.LatticeError as e:
         _emit(args, {"valid": False, "error": str(e)}, "INVALID: %s" % e)
         return FOUND
+    blks = lattice.blocks(l)
     _emit(args,
           {"valid": True, "elements": list(l.elements),
-           "blocks": [list(b) for b in lattice.blocks(l)]},
+           "blocks": [list(b) for b in blks]},
           "valid OML with %d elements, %d block(s)"
-          % (len(l.elements), len(lattice.blocks(l))))
+          % (len(l.elements), len(blks)))
     return OK
 
 

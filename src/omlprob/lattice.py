@@ -1,13 +1,16 @@
 """Finite orthomodular lattices: validation, order operations, generators.
 
-Every lattice handled here is finite and explicitly enumerated.  All
-structural questions (unique meets/joins, the orthomodular law,
-compatibility) are decided by exhaustive search, which is exact and fast
-at the supported sizes (default bound: 64 elements).
+Every lattice handled here is finite and explicitly enumerated (default
+bound: 64 elements).  Meets and joins are read off the order: the meet
+of a and b is the element whose down-set is down(a) & down(b), the join
+likewise from up-sets.  Blocks are generated by the maximal sets of
+pairwise orthogonal atoms.  The axioms, the orthomodular law and
+compatibility are checked exhaustively over those tables.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import os
@@ -213,19 +216,47 @@ def classify_pair(l: Oml, a: str, b: str) -> ElemPairClass:
 # -- validation ----------------------------------------------------------
 
 
-def _transitive_closure(elements, rel):
-    rel = set(rel)
+def _order(elements, pairs, bot, top):
+    """The reflexive-transitive closure of pairs, as the set of (x, y)
+    with x <= y, and its meet and join tables.
+
+    Warshall's closure runs on down-sets: each pivot k adds down(k) to
+    every down(y) that holds k.  The lower bounds of a and b form the
+    down-closed set down(a) & down(b), which has a greatest element, the
+    meet, exactly when it is the principal down-set of some element.
+    Joins are read likewise from up-sets.
+    """
+    down = {y: {y} for y in elements}
+    for x, y in pairs:
+        down[y].add(x)
+    for k in elements:
+        for y in elements:
+            if k in down[y]:
+                down[y] |= down[k]
+    up = {x: {y for y in elements if x in down[y]} for x in elements}
+
+    for a, b in itertools.combinations(elements, 2):
+        if a in down[b] and b in down[a]:
+            raise NotALattice("order is not antisymmetric: %r and %r" % (a, b))
     for x in elements:
-        rel.add((x, x))
-    changed = True
-    while changed:
-        changed = False
-        for (a, b) in list(rel):
-            for c in elements:
-                if (b, c) in rel and (a, c) not in rel:
-                    rel.add((a, c))
-                    changed = True
-    return rel
+        if bot not in down[x]:
+            raise NotALattice("bot %r is not below %r" % (bot, x))
+        if top not in up[x]:
+            raise NotALattice("%r is not below top %r" % (x, top))
+
+    by_down = {frozenset(s): y for y, s in down.items()}
+    by_up = {frozenset(s): x for x, s in up.items()}
+    meet_table, join_table = {}, {}
+    for a in elements:
+        for b in elements:
+            meet_table[(a, b)] = by_down.get(frozenset(down[a] & down[b]))
+            if meet_table[(a, b)] is None:
+                raise NotALattice("meet of %r and %r is not unique" % (a, b))
+            join_table[(a, b)] = by_up.get(frozenset(up[a] & up[b]))
+            if join_table[(a, b)] is None:
+                raise NotALattice("join of %r and %r is not unique" % (a, b))
+    leq = {(x, y) for y in elements for x in down[y]}
+    return leq, meet_table, join_table
 
 
 def validate_oml(candidate: dict) -> Oml:
@@ -235,7 +266,8 @@ def validate_oml(candidate: dict) -> Oml:
     partial order pairs) or "covers" to a list of [x, y] pairs meaning
     x <= y, "comp" to the orthocomplement map on exactly the elements,
     and "bot"/"top" to the extremes.  The order is normalized to its
-    reflexive-transitive closure.  Raises NotALattice, ComplementAxiom
+    reflexive-transitive closure, and meets and joins are read off its
+    down- and up-sets (see _order).  Raises NotALattice, ComplementAxiom
     or OrthomodularLawFailure naming the first violated axiom.
     """
     unknown = set(candidate) - _LATTICE_KEYS
@@ -287,30 +319,7 @@ def validate_oml(candidate: dict) -> Oml:
             raise NotALattice("order pair %r mentions unknown element"
                               % (list(pair),))
         pairs.append(tuple(pair))
-    leq = _transitive_closure(elements, pairs)
-
-    for a, b in itertools.combinations(elements, 2):
-        if (a, b) in leq and (b, a) in leq:
-            raise NotALattice("order is not antisymmetric: %r and %r" % (a, b))
-    for x in elements:
-        if (bot, x) not in leq:
-            raise NotALattice("bot %r is not below %r" % (bot, x))
-        if (x, top) not in leq:
-            raise NotALattice("%r is not below top %r" % (x, top))
-
-    meet_table, join_table = {}, {}
-    for a in elements:
-        for b in elements:
-            lower = [x for x in elements if (x, a) in leq and (x, b) in leq]
-            maxima = [m for m in lower if all((y, m) in leq for y in lower)]
-            if len(maxima) != 1:
-                raise NotALattice("meet of %r and %r is not unique" % (a, b))
-            meet_table[(a, b)] = maxima[0]
-            upper = [x for x in elements if (a, x) in leq and (b, x) in leq]
-            minima = [j for j in upper if all((j, y) in leq for y in upper)]
-            if len(minima) != 1:
-                raise NotALattice("join of %r and %r is not unique" % (a, b))
-            join_table[(a, b)] = minima[0]
+    leq, meet_table, join_table = _order(elements, pairs, bot, top)
 
     for x in elements:
         if x not in comp:
@@ -462,55 +471,38 @@ def horizontal_sum(parts: list) -> Oml:
 # -- blocks --------------------------------------------------------------
 
 
-def _is_distributive(l: Oml, subset) -> bool:
-    for a in subset:
-        for b in subset:
-            for c in subset:
-                if l.meet(a, l.join(b, c)) != l.join(l.meet(a, b),
-                                                     l.meet(a, c)):
-                    return False
-    return True
-
-
 def blocks(l: Oml) -> list:
     """Maximal Boolean subalgebras, as sorted element tuples.
 
-    In an OML these are exactly the maximal sets of pairwise-compatible
-    elements; closure and distributivity are verified on each.
+    In a finite OML these are exactly the Boolean algebras generated by
+    the maximal sets of pairwise orthogonal atoms (Greechie, J. Combin.
+    Theory A 10, 1971; Kalmbach, Orthomodular Lattices, 1983).  Each set
+    is a maximal clique of the atoms' orthogonality graph, and its block
+    holds the x that equal the join of the set's atoms below x.
     """
-    elems = list(l.elements)
-    compat = {x: {y for y in elems if y != x and l.compatible(x, y)
-                  and l.compatible(y, x)} for x in elems}
+    atoms = l.atoms()
+    ortho = {p: {q for q in atoms if q != p and l.orthogonal(p, q)}
+             for p in atoms}
 
     cliques = []
 
     def bron_kerbosch(r, p, x):
         if not p and not x:
-            cliques.append(frozenset(r))
+            cliques.append(r)
             return
-        pivot = max(p | x, key=lambda v: len(compat[v] & p))
-        for v in [v for v in elems if v in p - compat[pivot]]:
-            bron_kerbosch(r | {v}, p & compat[v], x & compat[v])
+        pivot = max(p | x, key=lambda v: len(ortho[v] & p))
+        for v in [v for v in atoms if v in p - ortho[pivot]]:
+            bron_kerbosch(r | {v}, p & ortho[v], x & ortho[v])
             p = p - {v}
             x = x | {v}
 
-    bron_kerbosch(set(), set(elems), set())
+    bron_kerbosch(set(), set(atoms), set())
 
-    order = {x: i for i, x in enumerate(elems)}
     result = []
     for clique in cliques:
-        members = sorted(clique, key=order.get)
-        for a in members:
-            if l.ocomp(a) not in clique:
-                raise LatticeError("block candidate not complement-closed")
-            for b in members:
-                if l.meet(a, b) not in clique or l.join(a, b) not in clique:
-                    raise LatticeError("block candidate not closed")
-        if not _is_distributive(l, members):
-            raise LatticeError("maximal compatible set is not Boolean")
-        result.append(tuple(members))
-    result.sort()
-    return result
+        result.append(tuple(x for x in l.elements if x == functools.reduce(
+            l.join, [p for p in clique if l.leq(p, x)], l.bot)))
+    return sorted(result)
 
 
 # -- automorphisms -------------------------------------------------------

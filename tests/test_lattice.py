@@ -1,4 +1,6 @@
+import itertools
 import json
+import random
 
 import pytest
 from hypothesis import given
@@ -8,6 +10,8 @@ from omlprob import lattice
 from omlprob.lattice import (
     ComplementAxiom,
     LatticeError,
+    NotALattice,
+    Oml,
     OrthomodularLawFailure,
     blocks,
     boolean_algebra,
@@ -18,6 +22,8 @@ from omlprob.lattice import (
     mo,
     validate_oml,
 )
+from pastings import (CHAIN, PENTAGON, SQUARE, TRIANGLE, TWO,
+                      pasting_candidate)
 
 
 # -- generators produce valid OMLs [TRIVIAL: generator postcondition] ----
@@ -178,3 +184,190 @@ def test_json_round_trip(make):
     again = lattice_from_json(l.to_json())
     assert again == l
     assert hash(again) == hash(l)
+
+
+# -- differential: the order read off down-sets, blocks off atoms --------
+#
+# The reference is the earlier code: a re-scanning closure, meets and
+# joins found by searching for a unique greatest lower / least upper
+# bound, and blocks as maximal cliques of the compatibility graph over
+# all elements, each verified closed, complemented and distributive.
+
+
+def _transitive_closure(elements, rel):
+    rel = set(rel)
+    for x in elements:
+        rel.add((x, x))
+    changed = True
+    while changed:
+        changed = False
+        for (a, b) in list(rel):
+            for c in elements:
+                if (b, c) in rel and (a, c) not in rel:
+                    rel.add((a, c))
+                    changed = True
+    return rel
+
+
+def _reference_order(elements, pairs, bot, top):
+    leq = _transitive_closure(elements, pairs)
+    for a, b in itertools.combinations(elements, 2):
+        if (a, b) in leq and (b, a) in leq:
+            raise NotALattice("order is not antisymmetric: %r and %r" % (a, b))
+    for x in elements:
+        if (bot, x) not in leq:
+            raise NotALattice("bot %r is not below %r" % (bot, x))
+        if (x, top) not in leq:
+            raise NotALattice("%r is not below top %r" % (x, top))
+    meet_table, join_table = {}, {}
+    for a in elements:
+        for b in elements:
+            lower = [x for x in elements if (x, a) in leq and (x, b) in leq]
+            maxima = [m for m in lower if all((y, m) in leq for y in lower)]
+            if len(maxima) != 1:
+                raise NotALattice("meet of %r and %r is not unique" % (a, b))
+            meet_table[(a, b)] = maxima[0]
+            upper = [x for x in elements if (a, x) in leq and (b, x) in leq]
+            minima = [j for j in upper if all((j, y) in leq for y in upper)]
+            if len(minima) != 1:
+                raise NotALattice("join of %r and %r is not unique" % (a, b))
+            join_table[(a, b)] = minima[0]
+    return leq, meet_table, join_table
+
+
+def _is_distributive(l, subset):
+    return all(l.meet(a, l.join(b, c)) == l.join(l.meet(a, b), l.meet(a, c))
+               for a in subset for b in subset for c in subset)
+
+
+def _reference_blocks(l):
+    elems = list(l.elements)
+    compat = {x: {y for y in elems if y != x and l.compatible(x, y)
+                  and l.compatible(y, x)} for x in elems}
+    cliques = []
+
+    def bron_kerbosch(r, p, x):
+        if not p and not x:
+            cliques.append(frozenset(r))
+            return
+        pivot = max(p | x, key=lambda v: len(compat[v] & p))
+        for v in [v for v in elems if v in p - compat[pivot]]:
+            bron_kerbosch(r | {v}, p & compat[v], x & compat[v])
+            p = p - {v}
+            x = x | {v}
+
+    bron_kerbosch(set(), set(elems), set())
+    order = {x: i for i, x in enumerate(elems)}
+    result = []
+    for clique in cliques:
+        members = sorted(clique, key=order.get)
+        for a in members:
+            if l.ocomp(a) not in clique:
+                raise LatticeError("block candidate not complement-closed")
+            for b in members:
+                if l.meet(a, b) not in clique or l.join(a, b) not in clique:
+                    raise LatticeError("block candidate not closed")
+        if not _is_distributive(l, members):
+            raise LatticeError("maximal compatible set is not Boolean")
+        result.append(tuple(members))
+    result.sort()
+    return result
+
+
+def _outcome(d, reference=False):
+    """validate_oml's exception class and message, or the lattice's
+    dict, tables and blocks; reference=True runs it on the reference
+    order and blocks."""
+    with pytest.MonkeyPatch.context() as mp:
+        if reference:
+            mp.setattr(lattice, "_order", _reference_order)
+        try:
+            l = validate_oml(d)
+        except LatticeError as e:
+            return type(e), str(e)
+    return (l.to_dict(), l._meet, l._join,
+            (_reference_blocks if reference else blocks)(l))
+
+
+def _shuffled_dict(l, seed):
+    d = l.to_dict()
+    random.Random(seed).shuffle(d["elements"])
+    return d
+
+
+_B = boolean_algebra
+_DIFF_LATTICES = (
+    [("2^%d" % n, _B(n).to_dict()) for n in range(1, 7)]
+    + [("MO(%d)" % n, mo(n).to_dict()) for n in range(2, 9)]
+    + [("HS3", horizontal_sum([_B(3), _B(2), _B(2)]).to_dict()),
+       ("2^3+2^3+2^3", horizontal_sum([_B(3)] * 3).to_dict()),
+       ("2^5-shuffled", _shuffled_dict(_B(5), 1)),
+       ("MO(5)-shuffled", _shuffled_dict(mo(5), 2)),
+       ("HS3-shuffled", _shuffled_dict(
+           horizontal_sum([_B(3), _B(2), _B(2)]), 3))]
+    + [(name, pasting_candidate(bl)) for name, bl in
+       (("two", TWO), ("chain", CHAIN), ("pentagon", PENTAGON),
+        ("triangle", TRIANGLE), ("square", SQUARE))])
+
+
+@pytest.mark.parametrize("name,d", _DIFF_LATTICES,
+                         ids=[n for n, _ in _DIFF_LATTICES])
+def test_order_tables_and_blocks_match_the_reference(name, d):
+    assert _outcome(d) == _outcome(d, reference=True)
+
+
+@pytest.mark.parametrize("bl,size,count", [
+    (TWO, 12, 2), (CHAIN, 16, 3), (PENTAGON, 22, 5)],
+    ids=["two", "chain", "pentagon"])
+def test_pasting_blocks_share_atoms(bl, size, count):
+    l = validate_oml(pasting_candidate(bl))
+    assert len(l) == size
+    assert [len(b) for b in blocks(l)] == [8] * count
+    # [DERIVED] each given block is one Boolean block, 0, 1, p and p'
+    want = sorted(tuple(x for x in l.elements if x in ("0", "1")
+                        or x.rstrip("'") in triple) for triple in bl)
+    assert blocks(l) == want
+
+
+@pytest.mark.parametrize("bl", [TRIANGLE, SQUARE], ids=["triangle", "square"])
+def test_short_pasting_loops_are_not_lattices(bl):
+    # Greechie: a loop of order 3 or 4 leaves two atoms without a join
+    with pytest.raises(NotALattice, match="^join of .* is not unique$"):
+        validate_oml(pasting_candidate(bl))
+
+
+def _mutate(d, rng):
+    """d with one to three edits: an order pair dropped or added, two
+    complements swapped, or the elements shuffled."""
+    key = "leq" if "leq" in d else "covers"
+    d = {**d, key: [list(p) for p in d[key]], "comp": dict(d["comp"]),
+         "elements": list(d["elements"])}
+    els, order = d["elements"], d[key]
+    for _ in range(rng.randint(1, 3)):
+        edit = rng.randrange(4)
+        if edit == 0 and order:
+            order.pop(rng.randrange(len(order)))
+        elif edit == 1:
+            order.append([rng.choice(els), rng.choice(els)])
+        elif edit == 2:
+            x, y = rng.sample(els, 2)
+            d["comp"][x], d["comp"][y] = d["comp"][y], d["comp"][x]
+        else:
+            rng.shuffle(els)
+    return d
+
+
+def test_fuzzed_lattices_match_the_reference():
+    rng = random.Random(911)
+    bases = [_B(2).to_dict(), _B(3).to_dict(), mo(2).to_dict(),
+             mo(3).to_dict(), horizontal_sum([_B(2), _B(3)]).to_dict(),
+             hexagon_candidate(), pasting_candidate(TWO)]
+    seen = set()
+    for _ in range(2000):
+        d = _mutate(rng.choice(bases), rng)
+        got = _outcome(d)
+        assert got == _outcome(d, reference=True), d
+        seen.add(got[0] if isinstance(got[0], type) else Oml)
+    # every stage of validate_oml is reached
+    assert seen == {NotALattice, ComplementAxiom, OrthomodularLawFailure,
+                    Oml}

@@ -19,6 +19,7 @@ from omlprob.states import (
     state_vertices,
     validate_state,
 )
+from pastings import CHAIN, PENTAGON, TWO, pasting_candidate
 
 F = Fraction
 
@@ -117,6 +118,31 @@ def test_mo2_vertices(mo2):
     for v in verts:
         validate_state(mo2, v)
         assert all(v(x) in (0, 1) for x in mo2.elements)
+
+
+@pytest.mark.parametrize("blocks,dim", [(TWO, 3), (CHAIN, 4), (PENTAGON, 5)],
+                         ids=["two", "chain", "pentagon"])
+def test_pasting_state_dimension(blocks, dim):
+    # [DERIVED] a state is an atom weighting summing to 1 on each block;
+    # the uniform 1/3 is positive on every atom, so the dimension is the
+    # atom count minus the rank of the block-atom incidence: 5 - 2,
+    # 7 - 3 and 10 - 5
+    cls = classify_states(lattice.validate_oml(pasting_candidate(blocks)))
+    assert (cls.tag, cls.polytope.dim) == ("quantum-logic", dim)
+
+
+def test_pentagon_state_vertices():
+    l = lattice.validate_oml(pasting_candidate(PENTAGON))
+    verts = state_vertices(l, 100)
+    assert len(verts) == 12
+    for v in verts:
+        validate_state(l, v)
+    # [DERIVED] not every extreme state is two-valued: 1/2 on each of
+    # the five shared atoms, 0 on the free ones, is a vertex
+    shared = {p for i, b in enumerate(PENTAGON) for p in b
+              if p in PENTAGON[i - 1]}
+    assert {p: F(1, 2) if p in shared else 0 for p in l.atoms()} in [
+        {p: v(p) for p in l.atoms()} for v in verts]
 
 
 # -- convexity property --------------------------------------------------

@@ -15,12 +15,17 @@ from omlprob.lattice import automorphism_generators, tuple_orbits
 from omlprob.linear import (Infeasible, SystemBuilder, maximize,
                             propagate_unit_box, with_premise)
 from omlprob.states import state_system
+from pastings import CHAIN, PENTAGON, TWO, pasting_candidate
 
 _B = lattice.boolean_algebra
 
 
 def _hs3():
     return lattice.horizontal_sum([_B(3), _B(2), _B(2)])
+
+
+def _pasting(blocks):
+    return lattice.validate_oml(pasting_candidate(blocks))
 
 
 def _shuffled(l, seed):
@@ -68,7 +73,10 @@ _LATTICES = ([("2^%d" % n, _B(n)) for n in range(1, 7)]
              + [("HS3", _hs3()),
                 ("MO(4)-shuffled", _shuffled(lattice.mo(4), 1)),
                 ("2^4-shuffled", _shuffled(_B(4), 2)),
-                ("HS3-shuffled", _shuffled(_hs3(), 3))])
+                ("HS3-shuffled", _shuffled(_hs3(), 3)),
+                ("pasting-two", _pasting(TWO)),
+                ("pasting-chain", _pasting(CHAIN)),
+                ("pasting-pentagon", _pasting(PENTAGON))])
 
 
 @pytest.mark.parametrize("name,l", _LATTICES, ids=[n for n, _ in _LATTICES])
@@ -83,16 +91,23 @@ _ORDERS = ([(_B(n), math.factorial(n)) for n in range(1, 7)]
            + [(lattice.mo(n), math.factorial(n) * 2 ** n)
               for n in range(2, 9)]
            + [(_hs3(), 48), (_shuffled(_hs3(), 3), 48),
-              (_shuffled(lattice.mo(5), 4), 3840)])
+              (_shuffled(lattice.mo(5), 4), 3840),
+              (_pasting(TWO), 8), (_pasting(CHAIN), 8),
+              (_pasting(PENTAGON), 10)])
 
 
 @pytest.mark.parametrize("l,order", _ORDERS,
                          ids=["2^%d" % n for n in range(1, 7)]
                          + ["MO(%d)" % n for n in range(2, 9)]
-                         + ["HS3", "HS3-shuffled", "MO(5)-shuffled"])
+                         + ["HS3", "HS3-shuffled", "MO(5)-shuffled",
+                            "pasting-two", "pasting-chain",
+                            "pasting-pentagon"])
 def test_group_order_from_strong_generators(l, order):
     # |Aut(MO(n))| = n! 2^n, |Aut(2^n)| = n!, |Aut(2^3 + 2^2 + 2^2)| =
     # 3! (atoms of 2^3) * 2 (swap the 2^2 blocks) * 2^2 (a <-> a' in each)
+    # Pastings: the blocks' hypergraph automorphisms.  Two blocks sharing
+    # an atom, and a chain of three: swap the two free atoms at each end,
+    # and reverse = 2 * 2 * 2; the pentagon loop: the dihedral group D5
     assert _group_order(automorphism_generators(l), len(l)) == order
 
 
