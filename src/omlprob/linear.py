@@ -1,13 +1,14 @@
 """Exact rational linear feasibility, optimization, vertex enumeration.
 
-Everything is exact: fractions.Fraction, and integers inside the
-simplex; there is no floating point anywhere.  A system is one immutable
-Polytope value.  On first use it is reduced, once, by rational
-Gaussian elimination on the equalities to x = x0 + N t, so
-optimization and vertex enumeration happen in the (usually much
-smaller) space t of the remaining free directions.  with_premise pins
-variables (x_j = v) by restricting the parent's reduction inside that
-t-space, with the reduction a from-scratch elimination would give.
+Everything is exact: constraint rows, elimination and the simplex are
+integers, fractions.Fraction appears only in the values given and
+returned, and there is no floating point anywhere.  A system is one
+immutable Polytope value.  On first use it is reduced, once, by
+fraction-free Gaussian elimination on the equalities to x = (x0 + N t)
+/ den, so optimization and vertex enumeration happen in the (usually
+much smaller) space t of the remaining free directions.  with_premise
+pins variables (x_j = v) by restricting the parent's reduction inside
+that t-space, with the reduction a from-scratch elimination would give.
 
 Optimization is a vertex simplex in t-space: its basis is d rows
 tight at the current vertex, whose d x d inverse a pivot updates by
@@ -59,12 +60,13 @@ class CapExceeded(LinearError):
 
 
 class Polytope:
-    """Equalities and inequalities (coeff . x <= rhs) over named variables.
+    """Equalities (terms . x = rhs) and inequalities (terms . x <= rhs).
 
-    eqs and ineqs are tuples of ((coeffs...), rhs) rows in vars order,
-    and index maps each variable name to its position.  A Polytope is
-    never changed once built and compares by identity; its reduction
-    is computed on first use and kept (see reduced).
+    eqs and ineqs are tuples of (terms, rhs) rows: terms is a sorted
+    tuple of (variable position, nonzero int) pairs and rhs an int, and
+    index maps each variable name to its position.  A Polytope is never
+    changed once built and compares by identity; its reduction is
+    computed on first use and kept (see reduced).
     """
 
     def __init__(self, vars, eqs=(), ineqs=(), *, _premise=None):
@@ -72,9 +74,9 @@ class Polytope:
         self.eqs = tuple(eqs)
         self.ineqs = tuple(ineqs)
         n = len(self.vars)
-        for coeffs, _rhs in self.eqs + self.ineqs:
-            if len(coeffs) != n:
-                raise LinearError("coefficient vector length mismatch")
+        for terms, _rhs in self.eqs + self.ineqs:
+            if terms and not 0 <= terms[0][0] <= terms[-1][0] < n:
+                raise LinearError("variable position out of range")
         if _premise is None:
             self.index = {v: i for i, v in enumerate(self.vars)}
             if len(self.index) != n:
@@ -101,17 +103,10 @@ class Polytope:
         return None if red is None else _start_vertex(red)
 
     @functools.cached_property
-    def sparse_eqs(self):
-        """eqs with each row cut to its nonzero (index, coeff) terms."""
-        return tuple((tuple((j, c) for j, c in enumerate(coeffs) if c), rhs)
-                     for coeffs, rhs in self.eqs)
-
-    @functools.cached_property
     def eqs_of_var(self):
-        """For each variable, the positions of the sparse_eqs rows it
-        occurs in."""
+        """For each variable, the positions of the eqs rows it is in."""
         rows = [[] for _ in self.vars]
-        for i, (terms, _rhs) in enumerate(self.sparse_eqs):
+        for i, (terms, _rhs) in enumerate(self.eqs):
             for j, _c in terms:
                 rows[j].append(i)
         return tuple(map(tuple, rows))
@@ -126,20 +121,26 @@ class SystemBuilder:
         self.eqs = []
         self.ineqs = []
 
-    def _row(self, terms):
-        """The coefficient vector of (name, coeff) terms; the
-        coefficients of a name that recurs are summed."""
-        row = [ZERO] * len(self.vars)
+    def _row(self, terms, rhs):
+        """The row (terms, rhs) of (name, coeff) terms, with the
+        coefficients of a name that recurs summed, scaled by the least
+        positive integer that makes every coefficient and rhs whole."""
+        row = collections.Counter()
         for name, c in terms:
             row[self._index[name]] += Fraction(c)
-        return tuple(row)
+        rhs = Fraction(rhs)
+        scale = math.lcm(rhs.denominator,
+                         *(c.denominator for c in row.values()))
+        return (tuple(sorted((j, c.numerator * (scale // c.denominator))
+                             for j, c in row.items() if c)),
+                rhs.numerator * (scale // rhs.denominator))
 
     def add_eq(self, coeffs: dict, rhs):
-        self.eqs.append((self._row(coeffs.items()), Fraction(rhs)))
+        self.eqs.append(self._row(coeffs.items(), rhs))
 
     def add_ineq(self, coeffs: dict, rhs):
         """coeff . x <= rhs"""
-        self.ineqs.append((self._row(coeffs.items()), Fraction(rhs)))
+        self.ineqs.append(self._row(coeffs.items(), rhs))
 
     def add_box(self, name, lo=ZERO, hi=ONE):
         self.add_ineq({name: 1}, hi)
@@ -154,9 +155,9 @@ class SystemBuilder:
         for _axiom, _elems, key, plus, minus, const, le in rows:
             row = self._row([(v, 1) for v in terms(key)]
                             + [(v, -1) for p in plus for v in terms(p)]
-                            + [(v, 1) for p in minus for v in terms(p)])
-            rhs = Fraction(next(pins) if const is None else const)
-            (self.ineqs if le else self.eqs).append((row, rhs))
+                            + [(v, 1) for p in minus for v in terms(p)],
+                            next(pins) if const is None else const)
+            (self.ineqs if le else self.eqs).append(row)
 
     def build(self) -> Polytope:
         return Polytope(self.vars, self.eqs, self.ineqs)
@@ -204,165 +205,168 @@ def first_violation(rows, value):
 def satisfies(sys: Polytope, point) -> bool:
     """Exact membership test: every constraint holds with zero tolerance."""
     point = tuple(Fraction(x) for x in point)
-    for coeffs, rhs in sys.eqs:
-        if sum(c * x for c, x in zip(coeffs, point) if c) != rhs:
-            return False
-    for coeffs, rhs in sys.ineqs:
-        if sum(c * x for c, x in zip(coeffs, point) if c) > rhs:
-            return False
-    return True
+    return (all(_dot(terms, point) == rhs for terms, rhs in sys.eqs)
+            and all(_dot(terms, point) <= rhs for terms, rhs in sys.ineqs))
 
 
-# -- Gaussian elimination ------------------------------------------------
+# -- fraction-free elimination -------------------------------------------
 
 
-def _rref(rows):
-    """Reduced row echelon form; returns (rows, pivot column list)."""
-    rows = [list(r) for r in rows]
-    if not rows:
-        return rows, []
-    pivots, r = [], 0
-    for col in range(len(rows[0])):
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if rows[i][col] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        prow = rows[r]
-        pv = prow[col]
-        # row operations touch only the pivot row's nonzero columns
-        nz = [j for j, x in enumerate(prow) if x]
-        for j in nz:
-            prow[j] /= pv
-        for i, row in enumerate(rows):
-            f = row[col]
-            if i != r and f:
-                for j in nz:
-                    row[j] -= f * prow[j]
-        pivots.append(col)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
+def _dot(terms, col):
+    return sum(c * col[j] for j, c in terms)
 
 
-class _Reduction(NamedTuple):
-    """Equality-eliminated form: x = x0 + N t, with the inequalities as
-    rows . t <= rhs.  basis holds the columns of N, one per free
-    variable.  Each row is scaled by the absolute value of its first
-    nonzero coefficient; parallel same-direction rows keep the tightest
-    rhs at the first one's position, and all-zero rows are dropped."""
-
-    x0: tuple
-    basis: tuple
-    rows: tuple
-    rhs: tuple
+def _eliminate(row, prow, p):
+    """prow[p] row - row[p] prow, which is 0 in column p, divided by the
+    gcd of its entries; rows are {column: nonzero int} dicts."""
+    a, b = prow[p], row[p]
+    out = {j: a * row.get(j, 0) - b * prow.get(j, 0)
+           for j in row.keys() | prow.keys()}
+    g = math.gcd(*out.values())  # 0 when every entry is
+    return {j: c // g for j, c in out.items() if c}
 
 
 def _solve_eqs(eqs, n):
-    """Particular solution and nullspace basis of an equality system.
+    """x = (x0 + N t) / den for the (terms, rhs) rows over n variables.
 
-    Returns (x0, basis) with basis columns in x-space, or None when the
-    equalities are inconsistent.
+    Returns (den, x0, basis) with basis the columns of N, one per free
+    variable, or None when the rows are inconsistent.  Gauss-Jordan on
+    integers: a row is cleared in the pivot columns it meets, its least
+    column becomes a pivot (positive), and that column is cleared in
+    the other pivot rows, so they stay the reduced row echelon form up
+    to positive scaling.  Rows are kept primitive, so gcd(den, x0, N) is
+    1 and the result is that of rational elimination, canonically.
     """
-    aug = [list(coeffs) + [rhs] for coeffs, rhs in eqs]
-    red, pivots = _rref(aug)
-    if any(row[n] and not any(row[:n]) for row in red):
-        return None
-    free = [j for j in range(n) if j not in pivots]
-    x0 = [ZERO] * n
-    for i, col in enumerate(pivots):
-        x0[col] = red[i][n]
-    basis = []
-    for f in free:
-        v = [ZERO] * n
-        v[f] = ONE
-        for i, col in enumerate(pivots):
-            v[col] = -red[i][f]
-        basis.append(tuple(v))
-    return tuple(x0), tuple(basis)
+    pivots = {}  # pivot column: its row, with the rhs in column n
+    for terms, rhs in eqs:
+        row = dict(terms)
+        if rhs:
+            row[n] = rhs
+        for p in [j for j in row if j in pivots]:
+            row = _eliminate(row, pivots[p], p)
+        if not row:
+            continue
+        p = min(row)
+        if p == n:
+            return None
+        g = math.gcd(*row.values()) * (1 if row[p] > 0 else -1)
+        if g != 1:
+            row = {j: c // g for j, c in row.items()}
+        for q, other in pivots.items():
+            if p in other:
+                pivots[q] = _eliminate(other, row, p)
+        pivots[p] = row
+    den = math.lcm(*(row[p] for p, row in pivots.items()))
+    # pivot row p reads x_p = (rhs - sum row[f] x_f) / row[p] over free f
+    x0 = tuple(pivots[j].get(n, 0) * (den // pivots[j][j])
+               if j in pivots else 0 for j in range(n))
+    basis = tuple(tuple(-pivots[j].get(f, 0) * (den // pivots[j][j])
+                        if j in pivots else den * (j == f) for j in range(n))
+                  for f in range(n) if f not in pivots)
+    return den, x0, basis
 
 
-def _functional(x0, basis, coeffs):
-    """coeffs . x as const + obj . t, where x = x0 + N t and basis holds
-    the columns of N; returns (const, obj)."""
-    nz = [(j, c) for j, c in enumerate(coeffs) if c]
-    return (sum(c * x0[j] for j, c in nz),
-            tuple(sum(c * v[j] for j, c in nz) for v in basis))
+class _Reduction(NamedTuple):
+    """Equality-eliminated form: x = (x0 + N t) / den, with the
+    inequalities as rows (terms, rhs), terms . t <= rhs.  basis holds
+    the columns of N, one per free variable, and gcd(den, x0, N) = 1.
+    Each row is divided by the gcd of its terms and rhs; parallel
+    same-direction rows keep the tightest at the first one's position,
+    and all-zero rows are dropped."""
+
+    den: int
+    x0: tuple
+    basis: tuple
+    rows: tuple
 
 
-def _project(x0, basis, rows):
-    """Rows (coeffs, rhs) over x written as (obj, rhs') over t, where
-    x = x0 + N t, so coeffs . x = rhs becomes obj . t = rhs'."""
-    out = []
-    for coeffs, rhs in rows:
-        const, obj = _functional(x0, basis, coeffs)
-        out.append((obj, rhs - const))
-    return out
+def _substitute(terms, x0, basis):
+    """terms . x as const + obj . t, where x = x0 + N t and basis holds
+    the columns of N; returns (const, obj terms)."""
+    return _dot(terms, x0), tuple(
+        (k, v) for k, col in enumerate(basis) if (v := _dot(terms, col)))
 
 
-def _lift(x0, basis, t):
+def _project(rows, den, x0, basis):
+    """Rows terms . x <= rhs over x = (x0 + N t) / den, as the rows
+    obj . t <= den rhs - const over t (see _substitute)."""
+    for terms, rhs in rows:
+        const, obj = _substitute(terms, x0, basis)
+        yield obj, den * rhs - const
+
+
+def _combine(x0, basis, t):
     """x0 + N t, with basis = the columns of N."""
     x = list(x0)
-    for tv, v in zip(t, basis):
-        if tv:
-            for j, vj in enumerate(v):
-                if vj:
-                    x[j] += tv * vj
-    return tuple(x)
+    for tk, col in zip(t, basis):
+        if tk:
+            for j, v in enumerate(col):
+                if v:
+                    x[j] += tk * v
+    return x
 
 
-def _with_rows(x0, basis, projected):
-    """The _Reduction with t-space rows (row, rhs), deduplicated; None
-    when a row reduces to 0 <= negative."""
-    seen = {}
-    for row, b in projected:
-        lead = next((x for x in row if x), None)
-        if lead is None:
+def _lift(red, t):
+    """The point x = (x0 + N t) / den of red, at the rational t."""
+    scale = math.lcm(*(tk.denominator for tk in t))
+    x = _combine([scale * v for v in red.x0], red.basis,
+                 [tk.numerator * (scale // tk.denominator) for tk in t])
+    return tuple(Fraction(v, scale * red.den) for v in x)
+
+
+def _with_rows(den, x0, basis, rows):
+    """The _Reduction with t-space rows (terms, rhs), deduplicated by
+    their direction terms / gcd(terms); None when a row reduces to
+    0 <= negative."""
+    seen = {}  # direction: (rhs, gcd) of its tightest row
+    for terms, b in rows:
+        if not terms:
             if b < 0:
                 return None
             continue
-        scale = abs(lead)
-        key = tuple(x / scale for x in row)
-        val = b / scale
-        if key not in seen or val < seen[key]:
-            seen[key] = val  # an update keeps the key's first position
-    return _Reduction(x0, basis, tuple(seen), tuple(seen.values()))
+        g = math.gcd(*(c for _j, c in terms))
+        key = terms if g == 1 else tuple((j, c // g) for j, c in terms)
+        if key not in seen or b * seen[key][1] < seen[key][0] * g:
+            seen[key] = (b, g)  # an update keeps the key's first position
+    out = []
+    for key, (b, g) in seen.items():
+        h = math.gcd(g, b)
+        out.append((tuple((j, c * (g // h)) for j, c in key), b // h))
+    return _Reduction(den, x0, basis, tuple(out))
 
 
 def _reduce(eqs, ineqs, n):
     """Equality elimination from scratch; None when elimination alone
     shows the system empty."""
     solved = _solve_eqs(eqs, n)
-    if solved is None:
-        return None
-    x0, basis = solved
-    return _with_rows(x0, basis, _project(x0, basis, ineqs))
+    return None if solved is None else _with_rows(
+        *solved, _project(ineqs, *solved))
 
 
 def _restrict(red, pins):
     """red plus the pins {j: v}, each x_j = v, eliminated in red's
-    t-space.  A pin is the t-space row (N[j][k] for each k) with rhs
-    v - x0[j]; t = t0 + M u solves those rows, so x0' = x0 + N t0,
-    N' = N M, and each row r . t <= b becomes (r M) . u <= b - r . t0.
+    t-space.  A pin is the row N[j] . t = den v - x0[j], made integer;
+    t = (t0 + M u) / e solves those rows, so x = (e x0 + N t0 + N M u) /
+    (e den), and each row r . t <= b becomes (r M) . u <= e b - r . t0.
 
     The free variables are those a from-scratch elimination picks, so
-    x0', N', rows, rhs and row order all equal its result.
+    den, x0, N, rows and row order all equal its result.
     """
     if red is None:
         return None
-    solved = _solve_eqs([(tuple(v[j] for v in red.basis), b - red.x0[j])
-                         for j, b in pins.items()], len(red.basis))
+    solved = _solve_eqs([(tuple((k, col[j] * v.denominator)
+                                for k, col in enumerate(red.basis) if col[j]),
+                          red.den * v.numerator - red.x0[j] * v.denominator)
+                         for j, v in pins.items()], len(red.basis))
     if solved is None:
         return None
-    t0, M = solved
-    zero = [ZERO] * len(red.x0)
-    basis = tuple(_lift(zero, red.basis, m) for m in M)
-    return _with_rows(_lift(red.x0, red.basis, t0), basis,
-                      _project(t0, M, zip(red.rows, red.rhs)))
+    e, t0, M = solved
+    x0 = _combine([e * v for v in red.x0], red.basis, t0)
+    basis = [_combine([0] * len(x0), red.basis, m) for m in M]
+    g = math.gcd(e * red.den, *x0, *(v for col in basis for v in col))
+    return _with_rows(e * red.den // g, tuple(v // g for v in x0),
+                      tuple(tuple(v // g for v in col) for col in basis),
+                      _project(red.rows, e, t0, M))
 
 
 def propagate_unit_box(sys: Polytope, seed: dict):
@@ -377,7 +381,7 @@ def propagate_unit_box(sys: Polytope, seed: dict):
     values, or None when a contradiction proves the seeded system
     infeasible.  Incomplete by design: open questions go to the LP.
     """
-    rows, rows_of = sys.sparse_eqs, sys.eqs_of_var
+    rows, rows_of = sys.eqs, sys.eqs_of_var
     known = dict(seed)
     if any(not 0 <= v <= 1 for v in known.values()):
         return None
@@ -404,7 +408,7 @@ def propagate_unit_box(sys: Polytope, seed: dict):
             return None
         if len(unknown) == 1:
             j, c = unknown[0]
-            pinned = [(j, r / c)]  # in [0, 1] by the interval test
+            pinned = [(j, Fraction(r, c))]  # in [0, 1] by the interval test
         elif r == lo:
             pinned = [(j, ONE if c < 0 else ZERO) for j, c in unknown]
         elif r == hi:
@@ -420,6 +424,19 @@ def propagate_unit_box(sys: Polytope, seed: dict):
     return known
 
 
+def _objective(sys, coeffs):
+    """coeffs . x on sys's reduction as (const + obj . t) / q, with
+    const and the obj terms integers; returns (q, const, obj).  Raises
+    Infeasible when elimination shows sys empty."""
+    red = sys.reduced
+    if red is None:
+        raise Infeasible()
+    scale = math.lcm(*(c.denominator for c in coeffs))
+    terms = tuple((j, c.numerator * (scale // c.denominator))
+                  for j, c in enumerate(coeffs) if c)
+    return (scale * red.den,) + _substitute(terms, red.x0, red.basis)
+
+
 def functional_on(sys: Polytope, coeffs):
     """The functional coeffs . x written as const + obj . t in the
     equality-eliminated coordinates.
@@ -428,10 +445,10 @@ def functional_on(sys: Polytope, coeffs):
     affine hull of the solution set, which decides equality questions
     without any optimization.  Raises Infeasible on an empty system.
     """
-    red = sys.reduced
-    if red is None:
-        raise Infeasible()
-    return _functional(red.x0, red.basis, coeffs)
+    q, const, terms = _objective(sys, coeffs)
+    obj = dict(terms)
+    return Fraction(const, q), tuple(Fraction(obj.get(k, 0), q)
+                                     for k in range(len(sys.reduced.basis)))
 
 
 def with_premise(sys: Polytope, pins: dict) -> Polytope:
@@ -443,8 +460,7 @@ def with_premise(sys: Polytope, pins: dict) -> Polytope:
     premise sweeps cheap.
     """
     pins = {j: Fraction(v) for j, v in pins.items()}
-    zero = (ZERO,) * len(sys.vars)
-    units = tuple((zero[:j] + (ONE,) + zero[j + 1:], v)
+    units = tuple((((j, v.denominator),), v.numerator)
                   for j, v in pins.items())
     return Polytope(sys.vars, sys.eqs + units, sys.ineqs,
                     _premise=(sys, pins))
@@ -453,37 +469,26 @@ def with_premise(sys: Polytope, pins: dict) -> Polytope:
 # -- simplex in the reduced space ----------------------------------------
 
 
-def _dot(terms, col):
-    return sum(c * col[j] for j, c in terms)
-
-
 class _Basis:
     """d rows of rows . t <= rhs, and the vertex t where they are tight.
 
-    Everything is an integer: each row is scaled by a positive factor
-    to integer terms and rhs, which changes neither the feasible set
-    nor any pivot choice.  basis[k] is the row in slot k, or None for a
-    pin t_k = 0 on a direction no row bounds.  det is the determinant
-    of the basis rows and adj[k] is column k of det times their
-    inverse, so row basis[l] . adj[k] = det * (k == l).  The vertex is
-    t = num / det, and slack[r] = det * (rhs[r] - rows[r] . t).  A
-    pivot updates all of it by rank one with exact integer division
-    (Bareiss), in O(m.d) operations.
+    Everything is an integer, as the reduction's rows are.  basis[k] is
+    the row in slot k, or None for a pin t_k = 0 on a direction no row
+    bounds.  det is the determinant of the basis rows and adj[k] is
+    column k of det times their inverse, so row basis[l] . adj[k] =
+    det * (k == l).  The vertex is t = num / det, and slack[r] = det *
+    (rhs[r] - rows[r] . t).  A pivot updates all of it by rank one with
+    exact integer division (Bareiss), in O(m.d) operations.
     """
 
     def __init__(self, red: _Reduction):
         d = len(red.basis)
-        self.terms, self.rhs = [], []
-        for row, b in zip(red.rows, red.rhs):
-            scale = math.lcm(b.denominator, *(x.denominator for x in row))
-            self.terms.append(tuple((j, int(x * scale))
-                                    for j, x in enumerate(row) if x))
-            self.rhs.append(int(b * scale))
+        self.terms = [terms for terms, _b in red.rows]
         self.basis = [None] * d
         self.det = 1
         self.adj = [[int(j == k) for j in range(d)] for k in range(d)]
         self.num = [0] * d
-        self.slack = list(self.rhs)
+        self.slack = [b for _terms, b in red.rows]
 
     def copy(self):
         other = copy.copy(self)
@@ -566,7 +571,8 @@ def _entering(b: _Basis, gamma):
 
 
 def _max_t(start: _Basis, obj):
-    """Maximize obj . t over the rows of start; (value, t).
+    """Maximize obj . t over the rows of start, for integer obj terms;
+    (value, t).
 
     The primal simplex over bases of tight rows, from start.  The
     leaving row is the lowest-index basis row with a negative
@@ -578,18 +584,15 @@ def _max_t(start: _Basis, obj):
         raise Infeasible()
     b = start.copy()
     d = len(b.num)
-    scale = math.lcm(*(c.denominator for c in obj))
-    terms = tuple((j, int(c * scale)) for j, c in enumerate(obj) if c)
     for col in b.adj:
-        col.append(_dot(terms, col))
+        col.append(_dot(obj, col))
     if any(col[d] for k, col in enumerate(b.adj) if b.basis[k] is None):
         raise Unbounded()  # obj is not constant along a line of the set
     while True:
         sign = 1 if b.det > 0 else -1
         out = [k for k, col in enumerate(b.adj) if col[d] * sign < 0]
         if not out:
-            t = b.point()
-            return sum(c * x for c, x in zip(obj, t)), t
+            return Fraction(_dot(obj, b.num), b.det), b.point()
         k = min(out, key=b.basis.__getitem__)
         gamma = b.column(k)
         b.pivot(k, _entering(b, gamma), gamma)
@@ -612,26 +615,25 @@ def solve(sys: Polytope) -> PolyInfo:
     if sys.start is None:
         return PolyInfo("empty", -1, None)
     tight, points = [], []  # implicit equalities; minimisers of the rest
-    for i, (row, b) in enumerate(zip(red.rows, red.rhs)):
-        try:
-            val, t = _max_t(sys.start, [-c for c in row])  # -min(row . t)
+    for terms, b in red.rows:
+        try:  # -min(terms . t)
+            val, t = _max_t(sys.start, [(j, -c) for j, c in terms])
         except Unbounded:
             points = None
             continue
         if -val == b:
-            tight.append(i)
+            tight.append((terms, b))
         elif points is not None:
             points.append(t)
     d = len(red.basis)
-    dim = d - len(_rref([red.rows[i] for i in tight])[0]) if tight else d
+    dim = len(_solve_eqs(tight, d)[2])  # the free directions they leave
     if points:
         k = Fraction(1, len(points))
         witness_t = tuple(sum(p[j] for p in points) * k for j in range(d))
     else:
         witness_t = sys.start.point()
-    witness = _lift(red.x0, red.basis, witness_t)
     status = "point" if dim == 0 else "positive-dimensional"
-    return PolyInfo(status, dim, witness)
+    return PolyInfo(status, dim, _lift(red, witness_t))
 
 
 def enumerate_vertices(sys: Polytope, cap: int = 10000):
@@ -667,9 +669,8 @@ def enumerate_vertices(sys: Polytope, cap: int = 10000):
                 stack.append(nxt)
         found.add(b.point())
         if len(found) > cap:
-            raise CapExceeded(sorted(
-                _lift(red.x0, red.basis, t) for t in found)[:cap])
-    return sorted(_lift(red.x0, red.basis, t) for t in found)
+            raise CapExceeded(sorted(_lift(red, t) for t in found)[:cap])
+    return sorted(_lift(red, t) for t in found)
 
 
 def maximize(sys: Polytope, coeffs):
@@ -678,9 +679,6 @@ def maximize(sys: Polytope, coeffs):
     Raises Infeasible on an empty system, Unbounded when the objective
     is unbounded above.
     """
-    red = sys.reduced
-    if red is None:
-        raise Infeasible()
-    base, obj = _functional(red.x0, red.basis, coeffs)
+    q, const, obj = _objective(sys, coeffs)
     val, t = _max_t(sys.start, obj)
-    return Fraction(base + val), _lift(red.x0, red.basis, t)
+    return (const + val) / q, _lift(sys.reduced, t)

@@ -20,6 +20,7 @@ from omlprob.bimaps import (BiMap, _axiom_rows, derive_d_from_s, pair_var,
 from omlprob.linear import (SystemBuilder, enumerate_vertices, maximize,
                             satisfies, with_premise)
 from omlprob.states import StateFn, validate_state
+from fraction_elimination import rational_form
 
 F = Fraction
 
@@ -247,8 +248,10 @@ def test_sweep_deterministic(b2, mo2):
 
 
 def reduced_digest(sys):
-    """sha256 prefix of the system's equality-eliminated form."""
-    return hashlib.sha256(repr(sys.reduced).encode()).hexdigest()[:16]
+    """sha256 prefix of the system's equality-eliminated form, written
+    in the rational form the digests were taken in."""
+    return hashlib.sha256(
+        repr(rational_form(sys.reduced)).encode()).hexdigest()[:16]
 
 
 # the reduced s-map + pseudometric system (x0, basis, rows, rhs) as it

@@ -45,6 +45,7 @@ from omlprob.bimaps import (
 from omlprob.linear import enumerate_vertices, satisfies
 from omlprob.rational import fmt_rat
 from omlprob.states import state_system, validate_state
+from fraction_elimination import dense
 
 F = Fraction
 H = F(1, 2)
@@ -374,10 +375,12 @@ def test_pair_var_format():
 
 
 def system_digest(sys):
-    """sha256 prefix of the variables and of every row, in order."""
+    """sha256 prefix of the variables and of every row, in order, each
+    row written out as its dense coefficient vector."""
     h = hashlib.sha256(repr(sys.vars).encode())
     for kind, rows in (("=", sys.eqs), ("<=", sys.ineqs)):
-        for coeffs, rhs in rows:
+        for terms, rhs in rows:
+            coeffs = dense(terms, len(sys.vars))
             h.update(("%s %s %s\n" % (" ".join(map(str, coeffs)), kind, rhs))
                      .encode())
     return h.hexdigest()[:16]

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,7 @@ from omlprob.linear import (
     with_premise,
 )
 from omlprob.states import state_system
+import fraction_elimination as reference
 
 F = Fraction
 
@@ -167,7 +169,7 @@ def pins(sys, values):
 def test_with_premise_matches_direct_build():
     base = unit_square()
     sys2 = with_premise(base, {0: F(1, 2)})  # x = 1/2
-    assert sys2.eqs == (((F(1), F(0)), F(1, 2)),)
+    assert sys2.eqs == ((((0, 2),), 1),)  # 2x = 1
     val, point = maximize(sys2, [F(1), F(1)])
     assert (val, point) == (F(3, 2), (F(1, 2), F(1)))
     val, _ = maximize(sys2, [F(1), F(-2)])
@@ -198,6 +200,31 @@ def test_with_premise_matches_direct_build():
             red = sys.reduced
             assert red is not None and red.rows
             assert red == direct_build(sys).reduced
+
+    # random pins on the HS3 s-map system, two generations deep: pins
+    # at a vertex keep it nonempty, and a stray value (thirds too) may
+    # empty it, in elimination or only in phase 1
+    hs3 = smap_system(lattice.horizontal_sum([
+        lattice.boolean_algebra(3), lattice.boolean_algebra(2),
+        lattice.boolean_algebra(2)]))
+    n = len(hs3.vars)
+    for seed in range(30):
+        rng, sys = random.Random(seed), hs3
+        for _generation in range(2):
+            obj = [F(rng.choice((-1, 0, 1))) for _ in range(n)]
+            _val, vertex = maximize(sys, obj)
+            values = {j: vertex[j]
+                      for j in rng.sample(range(n), rng.randint(1, 6))}
+            if rng.random() < 0.3:
+                values[rng.randrange(n)] = F(rng.randint(0, 3), 3)
+            sys = with_premise(sys, values)
+            direct = direct_build(sys)
+            assert sys.reduced == direct.reduced, seed
+            if sys.start is None:
+                assert direct.start is None
+                break
+            obj = [F(rng.choice((-1, 0, 1))) for _ in range(n)]
+            assert maximize(sys, obj) == maximize(direct, obj), seed
 
 
 def test_linear_keeps_no_module_state():
@@ -380,8 +407,8 @@ def rescan_propagate(sys, seed):
     changed = True
     while changed:
         changed = False
-        for terms, rhs in sys.sparse_eqs:
-            r = rhs
+        for terms, rhs in sys.eqs:
+            r = F(rhs)
             unknown = []
             for j, c in terms:
                 v = known.get(j)
@@ -440,7 +467,7 @@ def solve_square(rows, rhs):
     """Unique solution of a square system, or None if singular."""
     n = len(rows)
     aug = [list(rows[i]) + [rhs[i]] for i in range(n)]
-    red, pivots = linear._rref(aug)
+    red, pivots = reference.rref(aug)
     if len(pivots) != n or n in pivots:
         return None
     sol = [F(0)] * n
@@ -453,7 +480,7 @@ def subset_vertices(sys):
     """enumerate_vertices as it was: every d-subset of the reduced rows
     solved from scratch and kept when feasible.  Its probe LPs for an
     unbounded direction are left out; every system here is bounded."""
-    red = sys.reduced
+    red = reference.rational_form(sys.reduced)
     if sys.start is None:
         return []
     found = set()
@@ -463,7 +490,7 @@ def subset_vertices(sys):
         if sol is not None and all(sum(c * x for c, x in zip(row, sol)) <= b
                                    for row, b in zip(rows, rhs)):
             found.add(sol)
-    return sorted(linear._lift(red.x0, red.basis, t) for t in found)
+    return sorted(reference.lift(red.x0, red.basis, t) for t in found)
 
 
 _B, _MO = lattice.boolean_algebra, lattice.mo
@@ -533,3 +560,96 @@ def test_mo10_state_vertices_are_the_cube():
         cube.add(tuple(F(x in ones or x == l.top) for x in l.elements))
     verts = enumerate_vertices(state_system(l), 1024)
     assert len(cube) == 1024 and set(verts) == cube
+
+
+# -- integer elimination against the Fraction elimination it replaced ---
+
+
+# 0 first, then the nonzero p/q for |p| <= 6 and q <= 3
+SMALL = sorted({F(p, q) for p in range(-6, 7) for q in (1, 2, 3)}, key=abs)
+
+
+@st.composite
+def rational_systems(draw):
+    """Equalities, inequalities and pins over 1-4 variables with small
+    rational data, mostly through one point, with colliding rows put
+    in: scaled copies (of either sign), parallel rows with another rhs,
+    and all-zero rows."""
+    n = draw(st.integers(1, 4))
+    small = st.sampled_from(SMALL)
+    point = [draw(small) for _ in range(n)]
+
+    def rows(count, slack):
+        out = []
+        for _ in range(count):
+            coeffs = tuple(draw(small) for _ in range(n))
+            out.append((coeffs, sum(c * x for c, x in zip(coeffs, point))
+                        + draw(slack)))
+        for _ in range(draw(st.integers(0, 3))):
+            kind = draw(st.sampled_from(("scaled", "parallel", "zero")))
+            if kind == "zero" or not out:
+                row = ((F(0),) * n, F(draw(st.sampled_from((0, 0, 1, -1)))))
+            else:
+                coeffs, rhs = draw(st.sampled_from(out))
+                if kind == "scaled":
+                    f = draw(st.sampled_from(SMALL[1:]))
+                    row = (tuple(f * c for c in coeffs), f * rhs)
+                else:
+                    row = (coeffs, draw(small))
+            out.insert(draw(st.integers(0, len(out))), row)
+        return out
+
+    eqs = rows(draw(st.integers(0, 3)), st.just(0))
+    ineqs = rows(draw(st.integers(0, 5)), small)
+    pins = {j: point[j] if draw(st.booleans()) else draw(small)
+            for j in draw(st.sets(st.integers(0, n - 1), min_size=1,
+                                  max_size=2))}
+    return n, eqs, ineqs, pins
+
+
+def pivot_columns(n, den, basis):
+    """The pivots of an integer elimination: all columns but the free
+    ones, where column k of N belongs to the last x_j that is t_k alone
+    (a pivot x_p = t_k has p below that free column)."""
+    free = {max(j for j in range(n)
+                if all(col[j] == den * (i == k)
+                       for i, col in enumerate(basis)))
+            for k in range(len(basis))}
+    return [j for j in range(n) if j not in free]
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_systems())
+def test_integer_elimination_matches_fraction_elimination(system):
+    n, eqs, ineqs, pins = system
+    names = ["x%d" % j for j in range(n)]
+    sb = SystemBuilder(names)
+    for coeffs, rhs in eqs:
+        sb.add_eq(dict(zip(names, coeffs)), rhs)
+    for coeffs, rhs in ineqs:
+        sb.add_ineq(dict(zip(names, coeffs)), rhs)
+    sys = sb.build()
+    for terms, rhs in sys.eqs + sys.ineqs:  # the one row form
+        assert all(type(c) is int and c for _j, c in terms)
+        assert [j for j, _c in terms] == sorted({j for j, _c in terms})
+        assert type(rhs) is int
+
+    solved, ref = linear._solve_eqs(sys.eqs, n), reference.solve_eqs(eqs, n)
+    assert (solved is None) == (ref is None)
+    if ref is not None:
+        den, x0, basis = solved
+        assert den > 0 and math.gcd(den, *x0, *itertools.chain(*basis)) == 1
+        assert pivot_columns(n, den, basis) == ref[2]
+        assert tuple(F(x, den) for x in x0) == ref[0]
+        assert tuple(tuple(F(v, den) for v in col) for col in basis) == ref[1]
+
+    red = reference.reduce(eqs, ineqs, n)
+    restricted = with_premise(sys, pins).reduced
+    assert reference.rational_form(sys.reduced) == red
+    assert reference.rational_form(restricted) == reference.restrict(red, pins)
+    for got in (sys.reduced, restricted):  # canonical integers
+        if got is not None:
+            entries = itertools.chain(got.x0, *got.basis)
+            assert math.gcd(got.den, *entries) == 1
+            for terms, b in got.rows:
+                assert math.gcd(b, *(c for _j, c in terms)) == 1
