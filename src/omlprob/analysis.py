@@ -122,13 +122,12 @@ def _pseudometric_rows(l: Oml):
     keys.  A symmetry failure at (b, a) is one at (a, b), so a checker
     meets the same first failing pair as over all ordered pairs."""
     for a in l.elements:
-        yield "zero-diagonal", (a,), (a, a), (), (), ZERO, False
+        yield "zero-diagonal", (a,), (a, a), (), (), 0, False
     for i, a in enumerate(l.elements):
         for b in l.elements[i + 1:]:
-            yield "symmetry", (a, b), (a, b), ((b, a),), (), ZERO, False
+            yield "symmetry", (a, b), (a, b), ((b, a),), (), 0, False
     for a, b, c in itertools.product(l.elements, repeat=3):
-        yield ("triangle", (a, b, c), (a, b), ((a, c), (c, b)), (), ZERO,
-               True)
+        yield "triangle", (a, b, c), (a, b), ((a, c), (c, b)), (), 0, True
 
 
 def _smap_system_with_pseudometric(l: Oml) -> Polytope:
@@ -248,8 +247,8 @@ def jauch_piron_smap(l: Oml) -> PropertyVerdict:
         if code // n > code % n or reps[code] in asked:
             continue
         asked.add(reps[code])
-        known = propagate_unit_box(base, {index[pair_var(a, a)]: ONE,
-                                          index[pair_var(b, b)]: ONE})
+        known = propagate_unit_box(base, {index[pair_var(a, a)]: 1,
+                                          index[pair_var(b, b)]: 1})
         if known is None:
             continue  # premise proven infeasible
         try:
@@ -276,7 +275,7 @@ class PseudometricVerdict:
 
 def is_pseudometric(D: BiMap) -> PseudometricVerdict:
     """d(a,a) = 0, symmetry, triangle inequality, over all triples."""
-    hit = first_violation(_pseudometric_rows(D.lattice), D._map.__getitem__)
+    hit = first_violation(_pseudometric_rows(D.lattice), D._map)
     if hit is None:
         return PseudometricVerdict(True)
     return PseudometricVerdict(False, hit[0], hit[1])

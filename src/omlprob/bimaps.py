@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .lattice import Oml
 from .linear import Polytope, SystemBuilder, first_violation
-from .rational import fmt_rat, parse_rat
+from .rational import as_fraction, fmt_rat, parse_rat
 from .states import StateFn
 
 ZERO = Fraction(0)
@@ -54,7 +54,7 @@ class BiMap:
         if got != expected:
             raise BiMapError("map is not total on L x L")
         for pair, v in self.values:
-            if not 0 <= v <= 1:
+            if not 0 <= v.numerator <= v.denominator:
                 raise BiMapError("value at %s is outside [0, 1]" % (pair,))
 
     def __call__(self, a: str, b: str) -> Fraction:
@@ -62,18 +62,19 @@ class BiMap:
 
     @staticmethod
     def from_dict(l: Oml, values: dict) -> "BiMap":
-        return BiMap(l, tuple(((a, b), Fraction(values[(a, b)]))
+        return BiMap(l, tuple(((a, b), as_fraction(values[(a, b)]))
                               for a, b in l.pairs()))
 
     @staticmethod
     def from_function(l: Oml, fn) -> "BiMap":
-        return BiMap(l, tuple(((a, b), Fraction(fn(a, b)))
+        return BiMap(l, tuple(((a, b), as_fraction(fn(a, b)))
                               for a, b in l.pairs()))
 
     @staticmethod
     def from_vector(l: Oml, vec) -> "BiMap":
         pairs = list(l.pairs())
-        return BiMap(l, tuple((p, Fraction(v)) for p, v in zip(pairs, vec)))
+        return BiMap(l, tuple((p, as_fraction(v))
+                              for p, v in zip(pairs, vec)))
 
     def as_vector(self) -> tuple:
         return tuple(v for _, v in self.values)
@@ -153,16 +154,16 @@ class AxiomReport:
 # pairs; (x3)'s (row, col) offsets.
 _TABLES = {
     "s": ("s-map", ("s1", "s2", "s3", "s3"),
-          lambda l: [((l.top, l.top), ONE)],
+          lambda l: [((l.top, l.top), 1)],
           lambda l, x, y: ((), ()),
           lambda l, c: ((), ())),
     "j": ("j-map", ("j1", "j2", "j3", "j3"),
-          lambda l: [((l.bot, l.bot), ZERO), ((l.top, l.top), ONE)],
+          lambda l: [((l.bot, l.bot), 0), ((l.top, l.top), 1)],
           lambda l, x, y: (((x, x), (y, y)), ()),
           lambda l, c: (((c, c),), ((c, c),))),
     "d": ("d-map", ("d1", "d2", "d3", "d3"),
-          lambda l: ([((a, a), ZERO) for a in l.elements]
-                     + [((l.top, l.bot), ONE), ((l.bot, l.top), ONE)]),
+          lambda l: ([((a, a), 0) for a in l.elements]
+                     + [((l.top, l.bot), 1), ((l.bot, l.top), 1)]),
           lambda l, x, y: (((x, l.bot), (l.bot, y)), ()),
           lambda l, c: (((l.bot, c),), ((c, l.bot),))),
     "g": ("G-map", ("G1", "G2", "G3-row", "G3-col"),
@@ -184,17 +185,17 @@ def _axiom_rows(system: str, l: Oml):
     for a, b in l.orthogonal_pairs():
         for x, y in ((a, b), (b, a)):
             plus, minus = split(l, x, y)
-            yield x2, (x, y), (x, y), plus, minus, ZERO, False
+            yield x2, (x, y), (x, y), plus, minus, 0, False
         j = l.join(a, b)
         for c, (row_off, col_off) in offsets:
             elems = (a, b, c)
-            yield row3, elems, (j, c), ((a, c), (b, c)), row_off, ZERO, False
-            yield col3, elems, (c, j), ((c, a), (c, b)), col_off, ZERO, False
+            yield row3, elems, (j, c), ((a, c), (b, c)), row_off, 0, False
+            yield col3, elems, (c, j), ((c, a), (c, b)), col_off, 0, False
 
 
 def _report(name: str, rows, M: BiMap):
     """(name, ok, first violation) of M against the rows."""
-    hit = first_violation(rows, M._map.__getitem__)
+    hit = first_violation(rows, M._map)
     return name, hit is None, hit and Violation(*hit)
 
 
@@ -435,18 +436,18 @@ def _right(l, x):
 # 3, 5, 6), the left margin (4, 7, 9, 11) or the right margin (10, 12).
 # Gamma1 and Gamma8 read nothing: they are the constants 0 and 1.
 _SEMANTICS = {
-    1: (ZERO, None, None),
-    2: (ZERO, _diag, lambda l, a, b: l.meet(a, b)),
-    3: (ZERO, _diag, lambda l, a, b: l.join(a, b)),
-    4: (ZERO, _left, _xor),
-    5: (ONE, _diag, lambda l, a, b: l.join(l.ocomp(a), l.ocomp(b))),
-    6: (ONE, _diag, lambda l, a, b: l.meet(l.ocomp(a), l.ocomp(b))),
-    7: (ONE, _left, lambda l, a, b: l.ocomp(_xor(l, a, b))),
-    8: (ONE, None, None),
-    9: (ZERO, _left, lambda l, a, b: a),
-    10: (ZERO, _right, lambda l, a, b: b),
-    11: (ONE, _left, lambda l, a, b: l.ocomp(a)),
-    12: (ONE, _right, lambda l, a, b: l.ocomp(b)),
+    1: (0, None, None),
+    2: (0, _diag, lambda l, a, b: l.meet(a, b)),
+    3: (0, _diag, lambda l, a, b: l.join(a, b)),
+    4: (0, _left, _xor),
+    5: (1, _diag, lambda l, a, b: l.join(l.ocomp(a), l.ocomp(b))),
+    6: (1, _diag, lambda l, a, b: l.meet(l.ocomp(a), l.ocomp(b))),
+    7: (1, _left, lambda l, a, b: l.ocomp(_xor(l, a, b))),
+    8: (1, None, None),
+    9: (0, _left, lambda l, a, b: a),
+    10: (0, _right, lambda l, a, b: b),
+    11: (1, _left, lambda l, a, b: l.ocomp(a)),
+    12: (1, _right, lambda l, a, b: l.ocomp(b)),
 }
 
 

@@ -9,6 +9,7 @@ stable schema.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -250,7 +251,10 @@ def cmd_search(args) -> int:
     return OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args keeps no
+    state in it between calls."""
     p = argparse.ArgumentParser(
         prog="omlprob",
         description="Exact toolkit for orthomodular lattices and "

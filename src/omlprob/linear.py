@@ -2,7 +2,9 @@
 
 Everything is exact: constraint rows, elimination and the simplex are
 integers, fractions.Fraction appears only in the values given and
-returned, and there is no floating point anywhere.  A system is one
+returned, and there is no floating point anywhere.  first_violation
+checks a map's values against axiom rows the same way: on integers,
+over the values' common denominator.  A system is one
 immutable Polytope value.  On first use it is reduced, once, by
 fraction-free Gaussian elimination on the equalities to x = (x0 + N t)
 / den, so optimization and vertex enumeration happen in the (usually
@@ -36,7 +38,6 @@ from fractions import Fraction
 from typing import NamedTuple
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class LinearError(Exception):
@@ -142,7 +143,7 @@ class SystemBuilder:
         """coeff . x <= rhs"""
         self.ineqs.append(self._row(coeffs.items(), rhs))
 
-    def add_box(self, name, lo=ZERO, hi=ONE):
+    def add_box(self, name, lo=0, hi=1):
         self.add_ineq({name: 1}, hi)
         self.add_ineq({name: -1}, -Fraction(lo))
 
@@ -172,33 +173,40 @@ class PolyInfo:
     witness: tuple | None       # one exact feasible point (vars order)
 
 
-def first_violation(rows, value):
-    """The first row that value breaks, as (axiom, elements, lhs, rhs),
-    or None when it keeps them all.
+def first_violation(rows, values):
+    """The first row that the values break, as (axiom, elements, lhs,
+    rhs), or None when they keep them all.
 
     A row (axiom, elements, key, plus, minus, const, le) states
-    value(key) = sum value(plus) - sum value(minus) + const, or <= when
-    le is set; lhs and rhs are its two sides.  A row with const None
-    states that value(key) is 0 or 1: its sides are v (v - 1) and 0.
-    The same rows give linear constraints through
-    SystemBuilder.add_rows.
+    values[key] = sum values[plus] - sum values[minus] + const, or <=
+    when le is set, with const an int; lhs and rhs are its two sides.
+    A row with const None, and no plus or minus terms, states that
+    values[key] is 0 or 1: its sides are v (v - 1) and 0.  The same
+    rows give linear constraints through SystemBuilder.add_rows.
+
+    values is a dict from each key to a Fraction (or int).  The rows
+    are checked on integers: den is the lcm of the values'
+    denominators, once, and every value is scaled by it, so a row holds
+    iff V[key] = sum V[plus] - sum V[minus] + const den, and a const
+    None row iff V[key] is 0 or den.  Only a broken row's two sides
+    become Fractions again, with the values the row has over Fractions.
     """
+    den = math.lcm(*(v.denominator for v in values.values()))
+    V = {k: v.numerator * (den // v.denominator) for k, v in values.items()}
     for axiom, elems, key, plus, minus, const, le in rows:
-        lhs = value(key)
+        lhs = V[key]
         if const is None:
-            lhs, rhs = lhs * (lhs - ONE), ZERO
-        elif plus:  # start from the first term: no "0 +" on most rows
-            rhs = value(plus[0])
-            for p in plus[1:]:
-                rhs += value(p)
-            if const:
-                rhs += const
-        else:
-            rhs = const
+            if lhs and lhs != den:
+                return (axiom, elems, Fraction(lhs * (lhs - den), den * den),
+                        ZERO)
+            continue
+        rhs = const * den
+        for p in plus:
+            rhs += V[p]
         for p in minus:
-            rhs -= value(p)
+            rhs -= V[p]
         if (lhs > rhs) if le else (lhs != rhs):
-            return axiom, elems, lhs, rhs
+            return axiom, elems, Fraction(lhs, den), Fraction(rhs, den)
     return None
 
 
@@ -380,6 +388,9 @@ def propagate_unit_box(sys: Polytope, seed: dict):
     fixpoint is the same in any order.  Returns the dict of forced
     values, or None when a contradiction proves the seeded system
     infeasible.  Incomplete by design: open questions go to the LP.
+
+    Pinned values are ints where they are whole (nearly all are 0 or
+    1), so with integer seeds each residual stays an integer.
     """
     rows, rows_of = sys.eqs, sys.eqs_of_var
     known = dict(seed)
@@ -408,11 +419,12 @@ def propagate_unit_box(sys: Polytope, seed: dict):
             return None
         if len(unknown) == 1:
             j, c = unknown[0]
-            pinned = [(j, Fraction(r, c))]  # in [0, 1] by the interval test
+            # in [0, 1] by the interval test
+            pinned = [(j, r // c if r % c == 0 else Fraction(r, c))]
         elif r == lo:
-            pinned = [(j, ONE if c < 0 else ZERO) for j, c in unknown]
+            pinned = [(j, 1 if c < 0 else 0) for j, c in unknown]
         elif r == hi:
-            pinned = [(j, ONE if c > 0 else ZERO) for j, c in unknown]
+            pinned = [(j, 1 if c > 0 else 0) for j, c in unknown]
         else:
             continue
         for j, v in pinned:

@@ -15,10 +15,7 @@ from fractions import Fraction
 from .lattice import Oml
 from .linear import (PolyInfo, Polytope, SystemBuilder, enumerate_vertices,
                      first_violation, solve)
-from .rational import fmt_rat, parse_rat
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
+from .rational import as_fraction, fmt_rat, parse_rat
 
 
 class StateError(Exception):
@@ -66,11 +63,12 @@ class StateFn:
         extra = [x for x in values if x not in l.elements]
         if extra:
             raise StateError("state mentions unknown elements %s" % extra)
-        return StateFn(tuple((x, Fraction(values[x])) for x in l.elements))
+        return StateFn(tuple((x, as_fraction(values[x]))
+                             for x in l.elements))
 
     @staticmethod
     def from_vector(l: Oml, vec) -> "StateFn":
-        return StateFn(tuple(zip(l.elements, map(Fraction, vec))))
+        return StateFn(tuple(zip(l.elements, map(as_fraction, vec))))
 
     def to_json(self) -> str:
         return json.dumps({x: fmt_rat(v) for x, v in self.values}, indent=2)
@@ -86,10 +84,10 @@ def state_from_json(l: Oml, text: str) -> StateFn:
 def _state_rows(l: Oml):
     """m(0) = 0, m(1) = 1, then m(a v b) = m(a) + m(b) over every
     orthogonal pair, as rows over element keys."""
-    yield "bot", (l.bot,), l.bot, (), (), ZERO, False
-    yield "top", (l.top,), l.top, (), (), ONE, False
+    yield "bot", (l.bot,), l.bot, (), (), 0, False
+    yield "top", (l.top,), l.top, (), (), 1, False
     for a, b in l.orthogonal_pairs():
-        yield "additivity", (a, b), l.join(a, b), (a, b), (), ZERO, False
+        yield "additivity", (a, b), l.join(a, b), (a, b), (), 0, False
 
 
 def validate_state(l: Oml, s: StateFn) -> None:
@@ -102,7 +100,7 @@ def validate_state(l: Oml, s: StateFn) -> None:
     for x in l.elements:
         if not 0 <= s(x) <= 1:
             raise OutOfRange(x, s(x))
-    hit = first_violation(_state_rows(l), s)
+    hit = first_violation(_state_rows(l), s._map)
     if hit is None:
         return
     axiom, elems, lhs, rhs = hit

@@ -2,6 +2,9 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -10,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import omlprob
 from omlprob import lattice, linear
 from omlprob.bimaps import build_table3_family
 from omlprob.cli import main
@@ -478,3 +482,28 @@ def test_arbitrary_json_inputs_give_an_exit_code(lat, mp, argv, as_json):
                 contextlib.redirect_stderr(io.StringIO()):
             code = main(["--json"] * as_json + argv)
     assert code in (0, 1, 2)
+
+
+def test_main_in_one_process_answers_as_fresh_processes(files, capsys,
+                                                        monkeypatch):
+    # main builds its parser once per process; calls after others, a
+    # usage error among them, must answer as a fresh interpreter does
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to it
+    calls = [
+        ["--json", "check-map", "--system", "g", "mo2.json", "g9.json"],
+        ["check-map", "--system", "x", "mo2.json", "g9.json"],
+        ["--json", "check-map", "--system", "s", "mo2.json", "g9.json"],
+        ["classify-map", "mo2.json", "g9.json"],
+        ["no-such-verb"],
+        ["--json", "verify", "--identity", "gamma9", "mo2.json", "g9.json"],
+        ["--json", "states", "b2.json", "--vertices", "5"],
+        ["check-lattice", "--help"],
+    ]
+    src = Path(omlprob.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src), COLUMNS="80")
+    for argv in calls:
+        argv = [str(files / a) if a.endswith(".json") else a for a in argv]
+        fresh = subprocess.run([sys.executable, "-m", "omlprob.cli"] + argv,
+                               capture_output=True, text=True, env=env)
+        assert run(capsys, *argv) == (fresh.returncode, fresh.stdout,
+                                      fresh.stderr), argv

@@ -24,6 +24,7 @@ from omlprob.linear import (
     with_premise,
 )
 from omlprob.states import state_system
+import fraction_checker
 import fraction_elimination as reference
 
 F = Fraction
@@ -653,3 +654,51 @@ def test_integer_elimination_matches_fraction_elimination(system):
             assert math.gcd(got.den, *entries) == 1
             for terms, b in got.rows:
                 assert math.gcd(b, *(c for _j, c in terms)) == 1
+
+
+# -- the integer checker against the Fraction loop it replaced -----------
+
+
+# pairwise coprime, so that a few values make a large common denominator
+DENOMINATORS = (1, 2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+
+
+@st.composite
+def checker_cases(draw):
+    """Values with pairwise coprime denominators, in and outside [0, 1],
+    plus the keys "0", "1" and "den" at exactly 0, 1 and the lcm of the
+    denominators; then rows over those keys: random rows mixing plus,
+    minus, le and const None rows, with rows that always hold put in so
+    that a violation may come late or never."""
+    dens = draw(st.lists(st.sampled_from(DENOMINATORS), min_size=1,
+                         max_size=8))
+    values = {k: F(draw(st.integers(-q, 2 * q)), q)
+              for k, q in enumerate(dens)}
+    values.update({"0": F(0), "1": F(1), "den": F(math.lcm(*dens))})
+    key = st.sampled_from(sorted(values, key=str))
+    terms = st.lists(key, max_size=3).map(tuple)
+    rows = []
+    for i in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(("random", "random", "g1", "holds")))
+        k = draw(key)
+        if kind == "g1":
+            row = (k, (), (), None, False)
+        elif kind == "holds":  # k = k + p - p, or k <= k + p - p + c, c >= 0
+            p = draw(terms)
+            le = draw(st.booleans())
+            row = (k, (k,) + p, p, draw(st.integers(0, 2)) if le else 0, le)
+        else:
+            row = (k, draw(terms), draw(terms), draw(st.integers(-2, 2)),
+                   draw(st.booleans()))
+        rows.append(("r%d" % i, (str(k),)) + row)
+    return values, rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(checker_cases())
+def test_integer_checker_matches_fraction_loop(case):
+    values, rows = case
+    got = linear.first_violation(rows, values)
+    assert got == fraction_checker.first_violation(rows, values.__getitem__)
+    if got is not None:
+        assert all(type(side) is F for side in got[2:])
