@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bimaps import BiMap, pair_var, smap_system
+from .bimaps import BiMap, derive_d_from_s, pair_var, smap_system
 from .lattice import Oml, tuple_orbits
 from .linear import (Polytope, SystemBuilder, enumerate_vertices,
                      first_violation, functional_on, maximize,
@@ -220,7 +220,7 @@ def _smap_pair_witness(l: Oml, sys: Polytope, a: str, b: str):
     for addendum, coeffs in questions:
         vec = _coeff_vec(sys, coeffs)
         base, obj = functional_on(sys, vec)
-        if not any(obj) and base <= 0:
+        if not obj and base <= 0:
             continue
         val, _point = maximize(sys, vec)
         if val > 0:
@@ -299,10 +299,8 @@ class SweepReport:
                 "vertex_index": self.vertex_index,
                 "violated_axiom": self.violation.violated_axiom,
                 "witness_elements": list(self.violation.witness),
-                "d_p": {"%s|%s" % p: fmt_rat(
-                    self.smap(p[0], self.smap.lattice.ocomp(p[1]))
-                    + self.smap(self.smap.lattice.ocomp(p[0]), p[1]))
-                    for p in self.smap.lattice.pairs()},
+                "d_p": {"%s|%s" % p: fmt_rat(v)
+                        for p, v in derive_d_from_s(self.smap).values},
             })
         return out
 
@@ -314,8 +312,6 @@ def search_pseudometric_violation(lattices, cap: int = 1000) -> SweepReport:
     triples lexicographic.  Returns the first witness, or an
     exhausted-report listing what was checked.
     """
-    from .bimaps import derive_d_from_s
-
     checked = []
     for l in lattices:
         vertices = enumerate_vertices(smap_system(l), cap)

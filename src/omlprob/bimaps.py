@@ -3,9 +3,11 @@ derived maps, and the identities the families satisfy.
 
 All checks are exhaustive over the finite lattice and exact.  Each map
 system is one table of axiom rows; the checkers and the LP systems are
-both generated from it.  Checkers return an AxiomReport carrying the
-first violated row with both sides' values, so every failure is
-independently re-checkable.
+both generated from it.  The identities are rows of the same form, read
+by the same checker: Gamma9's (3) and (4) as G(a, b) = 2 G(a, 0) -
+G(a, b') and G(a, b_1) = n G(a, 0) - sum_{i>=2} G(a, b_i).  Checkers
+return a report carrying the first violated row with both sides'
+values, so every failure is independently re-checkable.
 """
 
 from __future__ import annotations
@@ -306,13 +308,16 @@ def induced_state_from_gamma9(G: BiMap, b: str) -> StateFn:
     return StateFn(tuple((a, G(a, b)) for a in G.lattice.elements))
 
 
+def _purity_rows(l: Oml):
+    """G(a, b) = G(a, 0) for every pair, in pair order."""
+    for a, b in l.pairs():
+        yield "pure-projection", (a, b), (a, b), ((a, l.bot),), (), 0, False
+
+
 def is_pure_projection(G: BiMap):
     """(True, None) or (False, first (a, b) with G(a, b) != G(a, 0))."""
-    l = G.lattice
-    for a, b in l.pairs():
-        if G(a, b) != G(a, l.bot):
-            return False, (a, b)
-    return True, None
+    hit = first_violation(_purity_rows(G.lattice), G._map)
+    return (True, None) if hit is None else (False, hit[1])
 
 
 def build_table3_family(r1, r2, u1, u2, l: Oml | None = None) -> BiMap:
@@ -360,57 +365,54 @@ class IdentityReport:
         return self.ok
 
 
-def _identity_report(name, checks):
-    """Run (label, elements, lhs, rhs) checks; report the first mismatch."""
-    for label, elems, lhs, rhs in checks:
-        if lhs != rhs:
-            return IdentityReport(name, False, Violation(label, elems, lhs, rhs))
-    return IdentityReport(name, True)
+def _komp_rows(l: Oml):
+    """verify_lemma_komp's rows, one per compatible pair, in pair order."""
+    z, oc = (l.bot, l.bot), l.ocomp
+    for a, b in l.pairs():
+        if l.compatible(a, b):
+            m = l.meet(a, b)
+            plus = ((m, m), (l.meet(a, oc(b)), l.bot),
+                    (l.bot, l.meet(oc(a), b)))
+            yield "compatible-pair", (a, b), (a, b), plus, (z, z), 0, False
 
 
 def verify_lemma_komp(G: BiMap) -> IdentityReport:
     """For every compatible pair:
     G(a,b) = G(a^b, a^b) + G(a^b', 0) + G(0, a'^b) - 2 G(0,0)."""
-    l = G.lattice
+    return IdentityReport(*_report("lemma-compatible-decomposition",
+                                   _komp_rows(G.lattice), G))
 
-    def checks():
-        for a, b in l.pairs():
-            if l.compatible(a, b):
-                rhs = (G(l.meet(a, b), l.meet(a, b))
-                       + G(l.meet(a, l.ocomp(b)), l.bot)
-                       + G(l.bot, l.meet(l.ocomp(a), b))
-                       - 2 * G(l.bot, l.bot))
-                yield ("compatible-pair", (a, b), G(a, b), rhs)
 
-    return _identity_report("lemma-compatible-decomposition", checks())
+def _gamma9_rows(l: Oml):
+    """verify_gamma9_identities' rows, element by element."""
+    partitions = l.orthogonal_partitions()
+    for a in l.elements:
+        left = (a, l.bot)
+        yield "id1", (l.top, a), (l.top, a), (), (), 1, False
+        yield "id1", (l.bot, a), (l.bot, a), (), (), 0, False
+        yield "id2", left, left, ((a, a),), (), 0, False
+        yield "id2", (a, l.top), (a, l.top), ((a, a),), (), 0, False
+        for b in l.elements:
+            yield ("id3", (a, b), (a, b), (left, left), ((a, l.ocomp(b)),),
+                   0, False)
+        for part in partitions:
+            yield ("id4", (a,) + part, (a, part[0]), (left,) * len(part),
+                   tuple((a, b) for b in part[1:]), 0, False)
 
 
 def verify_gamma9_identities(G: BiMap) -> IdentityReport:
-    """The four Gamma9 identities, exhaustively:
+    """The four Gamma9 identities, exhaustively, in the row form they
+    are checked and reported in:
 
     1. G(1, a) = 1 and G(0, a) = 0;
     2. G(a, 0) = G(a, a) = G(a, 1);
-    3. G(a, 0) = (G(a, b) + G(a, b')) / 2 for all pairs;
-    4. G(a, 0) = (1/n) sum G(a, b_i) over every orthogonal partition
-       b_1, ..., b_n of the unit.
+    3. G(a, b) = 2 G(a, 0) - G(a, b') for all pairs, i.e. G(a, 0) is
+       the mean of G(a, b) and G(a, b');
+    4. G(a, b_1) = n G(a, 0) - sum_{i>=2} G(a, b_i) over every orthogonal
+       partition b_1, ..., b_n of the unit, i.e. G(a, 0) is the mean.
     """
-    l = G.lattice
-    partitions = l.orthogonal_partitions()
-
-    def checks():
-        for a in l.elements:
-            yield ("id1", (l.top, a), G(l.top, a), ONE)
-            yield ("id1", (l.bot, a), G(l.bot, a), ZERO)
-            yield ("id2", (a, l.bot), G(a, l.bot), G(a, a))
-            yield ("id2", (a, l.top), G(a, l.top), G(a, a))
-            for b in l.elements:
-                yield ("id3", (a, b), 2 * G(a, l.bot),
-                       G(a, b) + G(a, l.ocomp(b)))
-            for part in partitions:
-                yield ("id4", (a,) + part, len(part) * G(a, l.bot),
-                       sum(G(a, b) for b in part))
-
-    return _identity_report("gamma9-identities", checks())
+    return IdentityReport(*_report("gamma9-identities",
+                                   _gamma9_rows(G.lattice), G))
 
 
 def _xor(l: Oml, a: str, b: str) -> str:

@@ -450,17 +450,16 @@ def _objective(sys, coeffs):
 
 
 def functional_on(sys: Polytope, coeffs):
-    """The functional coeffs . x written as const + obj . t in the
-    equality-eliminated coordinates.
+    """The functional coeffs . x written as const + (obj . t) / q in the
+    equality-eliminated coordinates, as (const, obj): obj holds the
+    nonzero integer terms (k, c), and q > 0 is left out.
 
-    An all-zero obj means the functional is constant (= const) on the
+    An empty obj means the functional is constant (= const) on the
     affine hull of the solution set, which decides equality questions
     without any optimization.  Raises Infeasible on an empty system.
     """
-    q, const, terms = _objective(sys, coeffs)
-    obj = dict(terms)
-    return Fraction(const, q), tuple(Fraction(obj.get(k, 0), q)
-                                     for k in range(len(sys.reduced.basis)))
+    q, const, obj = _objective(sys, coeffs)
+    return Fraction(const, q), obj
 
 
 def with_premise(sys: Polytope, pins: dict) -> Polytope:
