@@ -27,7 +27,6 @@ from .linear import (Polytope, SystemBuilder, enumerate_vertices,
 from .rational import fmt_rat
 from .states import StateFn, state_system
 
-ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
@@ -42,13 +41,6 @@ class PropertyVerdict:
 
     def __str__(self):
         return "%s on %s: %s" % (self.property, self.scope, self.verdict)
-
-
-def _coeff_vec(sys: Polytope, coeffs: dict):
-    vec = [ZERO] * len(sys.vars)
-    for name, c in coeffs.items():
-        vec[sys.index[name]] += Fraction(c)
-    return vec
 
 
 def _named(sys: Polytope, point) -> dict:
@@ -82,7 +74,7 @@ def _bell(prop: str, l: Oml, sys: Polytope, arity: int, var):
     for code, xs in enumerate(itertools.product(l.elements, repeat=arity)):
         label = ",".join(xs)
         if reps[code] == code:
-            val, point = maximize(sys, _coeff_vec(sys, _bell_coeffs(xs, var)))
+            val, point = maximize(sys, _bell_coeffs(xs, var))
             maxima[code] = fmt_rat(val)
             if worst is None or val > worst[0]:
                 worst = (val, label, point)
@@ -135,12 +127,11 @@ def _smap_system_with_pseudometric(l: Oml) -> Polytope:
     d_p(a, b) = p(a, b') + p(a', b)."""
     base = smap_system(l)
     sb = SystemBuilder(base.vars)
-    sb.eqs = list(base.eqs)
-    sb.ineqs = list(base.ineqs)
     oc = l.ocomp
     sb.add_rows(_pseudometric_rows(l), lambda pair: (
         pair_var(pair[0], oc(pair[1])), pair_var(oc(pair[0]), pair[1])))
-    return sb.build()
+    return Polytope(base.vars, base.eqs + tuple(sb.eqs),
+                    base.ineqs + tuple(sb.ineqs))
 
 
 def bell2_smap(l: Oml, require_pseudometric: bool = False) -> PropertyVerdict:
@@ -183,9 +174,9 @@ def jauch_piron_state(l: Oml) -> PropertyVerdict:
     for code, (a, b) in enumerate(l.pairs()):
         if min(reps[code], reps[code % n * n + code // n]) != code:
             continue
-        sys = with_premise(base, {base.index[a]: 1, base.index[b]: 1})
+        sys = with_premise(base, {a: 1, b: 1})
         try:
-            negmin, point = maximize(sys, _coeff_vec(sys, {l.meet(a, b): -1}))
+            negmin, point = maximize(sys, {l.meet(a, b): -1})
         except Infeasible:
             continue  # no state satisfies the premise for this pair
         low = -negmin
@@ -218,11 +209,10 @@ def _smap_pair_witness(l: Oml, sys: Polytope, a: str, b: str):
                               (pair_var(c, a), pair_var(c, c))) if x != y
                  for s in (1, -1)]
     for addendum, coeffs in questions:
-        vec = _coeff_vec(sys, coeffs)
-        base, obj = functional_on(sys, vec)
+        base, obj = functional_on(sys, coeffs)
         if not obj and base <= 0:
             continue
-        val, _point = maximize(sys, vec)
+        val, _point = maximize(sys, coeffs)
         if val > 0:
             return {"pair": pair, "addendum": "%s != %s" % addendum,
                     "gap": fmt_rat(val)}
@@ -241,14 +231,13 @@ def jauch_piron_smap(l: Oml) -> PropertyVerdict:
     the swap (b, a) is no symmetry here, as the addendum asks about a.
     """
     base = smap_system(l)
-    index = base.index
     n, reps, asked = len(l.elements), tuple_orbits(l, 2), set()
     for code, (a, b) in enumerate(l.pairs()):
         if code // n > code % n or reps[code] in asked:
             continue
         asked.add(reps[code])
-        known = propagate_unit_box(base, {index[pair_var(a, a)]: 1,
-                                          index[pair_var(b, b)]: 1})
+        known = propagate_unit_box(base, {pair_var(a, a): 1,
+                                          pair_var(b, b): 1})
         if known is None:
             continue  # premise proven infeasible
         try:

@@ -5,12 +5,15 @@ integers, fractions.Fraction appears only in the values given and
 returned, and there is no floating point anywhere.  first_violation
 checks a map's values against axiom rows the same way: on integers,
 over the values' common denominator.  A system is one
-immutable Polytope value.  On first use it is reduced, once, by
-fraction-free Gaussian elimination on the equalities to x = (x0 + N t)
-/ den, so optimization and vertex enumeration happen in the (usually
-much smaller) space t of the remaining free directions.  with_premise
-pins variables (x_j = v) by restricting the parent's reduction inside
-that t-space, with the reduction a from-scratch elimination would give.
+immutable Polytope value.  Callers name variables: constraints,
+objectives and premises are {variable name: value} dicts, which
+_int_row alone turns into the integer rows used inside.  On first use
+a system is reduced, once, by fraction-free Gaussian elimination on
+the equalities to x = (x0 + N t) / den, so optimization and vertex
+enumeration happen in the (usually much smaller) space t of the
+remaining free directions.  with_premise pins variables (x_name = v)
+by restricting the parent's reduction inside that t-space, with the
+reduction a from-scratch elimination would give.
 
 Optimization is a vertex simplex in t-space: its basis is d rows
 tight at the current vertex, whose d x d inverse a pivot updates by
@@ -113,6 +116,23 @@ class Polytope:
         return tuple(map(tuple, rows))
 
 
+def _int_row(index, terms, rhs=0):
+    """The linear form of (name, coeff) terms, with the coefficients of
+    a name that recurs summed, and its rhs, scaled by the least positive
+    integer that makes every coefficient and rhs whole.  Returns (scale,
+    terms, rhs): terms is a sorted tuple of (position in index, nonzero
+    int) pairs and rhs an int."""
+    row = collections.Counter()
+    for name, c in terms:
+        row[index[name]] += Fraction(c)
+    rhs = Fraction(rhs)
+    scale = math.lcm(rhs.denominator, *(c.denominator for c in row.values()))
+    return (scale,
+            tuple(sorted((j, c.numerator * (scale // c.denominator))
+                         for j, c in row.items() if c)),
+            rhs.numerator * (scale // rhs.denominator))
+
+
 class SystemBuilder:
     """Accumulates constraints by variable name, then freezes a Polytope."""
 
@@ -123,18 +143,8 @@ class SystemBuilder:
         self.ineqs = []
 
     def _row(self, terms, rhs):
-        """The row (terms, rhs) of (name, coeff) terms, with the
-        coefficients of a name that recurs summed, scaled by the least
-        positive integer that makes every coefficient and rhs whole."""
-        row = collections.Counter()
-        for name, c in terms:
-            row[self._index[name]] += Fraction(c)
-        rhs = Fraction(rhs)
-        scale = math.lcm(rhs.denominator,
-                         *(c.denominator for c in row.values()))
-        return (tuple(sorted((j, c.numerator * (scale // c.denominator))
-                             for j, c in row.items() if c)),
-                rhs.numerator * (scale // rhs.denominator))
+        """The row (terms, rhs) of (name, coeff) terms (see _int_row)."""
+        return _int_row(self._index, terms, rhs)[1:]
 
     def add_eq(self, coeffs: dict, rhs):
         self.eqs.append(self._row(coeffs.items(), rhs))
@@ -380,20 +390,21 @@ def _restrict(red, pins):
 def propagate_unit_box(sys: Polytope, seed: dict):
     """Fixpoint propagation of sys.eqs assuming 0 <= x <= 1 everywhere.
 
-    seed maps variable indices to pinned values.  Uses three sound
+    seed maps variable names to pinned values.  Uses three sound
     rules per equality row: a single unknown is solved outright, and a
     residual equal to the row's interval minimum (or maximum) pins every
     unknown at the corresponding endpoint.  A worklist revisits only the
     rows of newly pinned variables; the rules are monotone, so the
-    fixpoint is the same in any order.  Returns the dict of forced
-    values, or None when a contradiction proves the seeded system
-    infeasible.  Incomplete by design: open questions go to the LP.
+    fixpoint is the same in any order.  Returns the forced values as
+    {name: value}, seed first, ready for with_premise, or None when a
+    contradiction proves the seeded system infeasible.  Incomplete by
+    design: open questions go to the LP.
 
     Pinned values are ints where they are whole (nearly all are 0 or
     1), so with integer seeds each residual stays an integer.
     """
     rows, rows_of = sys.eqs, sys.eqs_of_var
-    known = dict(seed)
+    known = {sys.index[name]: v for name, v in seed.items()}
     if any(not 0 <= v <= 1 for v in known.values()):
         return None
     queue = collections.deque(range(len(rows)))
@@ -433,24 +444,23 @@ def propagate_unit_box(sys: Polytope, seed: dict):
                 if not queued[k]:
                     queued[k] = True
                     queue.append(k)
-    return known
+    return {sys.vars[j]: v for j, v in known.items()}
 
 
 def _objective(sys, coeffs):
-    """coeffs . x on sys's reduction as (const + obj . t) / q, with
-    const and the obj terms integers; returns (q, const, obj).  Raises
-    Infeasible when elimination shows sys empty."""
+    """The functional {name: coeff} on sys's reduction as (const + obj .
+    t) / q, with const and the obj terms integers; returns (q, const,
+    obj).  Raises Infeasible when elimination shows sys empty."""
     red = sys.reduced
     if red is None:
         raise Infeasible()
-    scale = math.lcm(*(c.denominator for c in coeffs))
-    terms = tuple((j, c.numerator * (scale // c.denominator))
-                  for j, c in enumerate(coeffs) if c)
+    scale, terms, _rhs = _int_row(sys.index, coeffs.items())
     return (scale * red.den,) + _substitute(terms, red.x0, red.basis)
 
 
-def functional_on(sys: Polytope, coeffs):
-    """The functional coeffs . x written as const + (obj . t) / q in the
+def functional_on(sys: Polytope, coeffs: dict):
+    """The functional sum coeffs[name] x_name, for coeffs a dict {variable
+    name: coefficient}, written as const + (obj . t) / q in the
     equality-eliminated coordinates, as (const, obj): obj holds the
     nonzero integer terms (k, c), and q > 0 is left out.
 
@@ -463,14 +473,14 @@ def functional_on(sys: Polytope, coeffs):
 
 
 def with_premise(sys: Polytope, pins: dict) -> Polytope:
-    """sys plus the pins {variable index: value}, each x_j = v.
+    """sys plus the pins {variable name: value}, each x_name = v.
 
     The child's eqs gain one unit row per pin, so it is the system a
     from-scratch build would give; its reduction is restricted from
     sys's in the small eliminated space, at O(d) per pin, which makes
     premise sweeps cheap.
     """
-    pins = {j: Fraction(v) for j, v in pins.items()}
+    pins = {sys.index[name]: Fraction(v) for name, v in pins.items()}
     units = tuple((((j, v.denominator),), v.numerator)
                   for j, v in pins.items())
     return Polytope(sys.vars, sys.eqs + units, sys.ineqs,
@@ -684,8 +694,10 @@ def enumerate_vertices(sys: Polytope, cap: int = 10000):
     return sorted(_lift(red, t) for t in found)
 
 
-def maximize(sys: Polytope, coeffs):
-    """Exact maximum of coeffs . x over sys; (value, argmax).
+def maximize(sys: Polytope, coeffs: dict):
+    """Exact maximum of sum coeffs[name] x_name over sys, for coeffs a
+    dict {variable name: coefficient}; (value, argmax), with the argmax
+    in sys.vars order.
 
     Raises Infeasible on an empty system, Unbounded when the objective
     is unbounded above.

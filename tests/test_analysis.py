@@ -135,13 +135,10 @@ def assert_addendum_witness(sys, witness, gap):
     assert witness["gap"] == gap
     a, b = witness["pair"].split(",")
     x, y = witness["addendum"].split(" != ")
-    premise = with_premise(sys, {sys.index[pair_var(a, a)]: 1,
-                                 sys.index[pair_var(b, b)]: 1})
+    premise = with_premise(sys, {pair_var(a, a): 1, pair_var(b, b): 1})
     maxima = []
     for sign in (1, -1):
-        coeffs = [F(0)] * len(sys.vars)
-        coeffs[sys.index[x]], coeffs[sys.index[y]] = sign, -sign
-        val, point = maximize(premise, coeffs)
+        val, point = maximize(premise, {x: sign, y: -sign})
         assert satisfies(premise, point)
         maxima.append(val)
     assert F(gap) == next(val for val in maxima if val > 0)
@@ -280,9 +277,7 @@ def lp_vertices(l):
     found = set()
     for a, b in l.pairs():
         for sign in (1, -1):
-            coeffs = [0] * len(sys.vars)
-            coeffs[sys.index[pair_var(a, b)]] = sign
-            found.add(maximize(sys, coeffs)[1])
+            found.add(maximize(sys, {pair_var(a, b): sign})[1])
     return sorted(found)
 
 

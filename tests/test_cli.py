@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import omlprob
 from omlprob import lattice, linear
-from omlprob.bimaps import build_table3_family
+from omlprob.bimaps import BiMap, build_table3_family
 from omlprob.cli import main
 
 F = Fraction
@@ -40,6 +40,10 @@ def files(tmp_path_factory):
     (d / "half.json").write_text(json.dumps(
         {"lattice": "mo2.json",
          "values": {"%s|%s" % p: "1/2" for p in mo2.pairs()}}))
+    # corners (0,0,1,0): Gamma13, a family with no connective semantics
+    g13 = BiMap.from_function(
+        mo2, lambda a, b: int((a, b) == (mo2.top, mo2.bot)))
+    (d / "g13.json").write_text(g13.to_json("mo2.json"))
     b1 = lattice.boolean_algebra(1)
     (d / "b1.json").write_text(b1.to_json())
     # the s-map m(a^b) of 2^1's one state, plus a key naming no element
@@ -304,12 +308,14 @@ def test_vertex_cap_messages(files, capsys):
 
 
 def test_verify_semantics_with_fractional_corners(files, capsys):
-    code, out, _ = run(capsys, "--json", "verify", "--identity",
-                       "semantics", files / "mo2.json", files / "half.json")
-    assert code == 1
-    assert json.loads(out) == {
-        "ok": False,
-        "error": "corners ['1/2', '1/2', '1/2', '1/2'] are not all in {0, 1}"}
+    # and on Gamma13: main reports the BiMapError on stderr, exit 1
+    for path, message in (
+            ("half.json", "corners ['1/2', '1/2', '1/2', '1/2'] are not all "
+                          "in {0, 1}"),
+            ("g13.json", "no connective semantics for Gamma13")):
+        assert run(capsys, "--json", "verify", "--identity", "semantics",
+                   files / "mo2.json", files / path) == (
+            1, "", "error: %s\n" % message)
 
 
 # --json payloads and exit codes of the Jauch-Piron properties, pinned

@@ -17,6 +17,7 @@ from omlprob.linear import (
     SystemBuilder,
     Unbounded,
     enumerate_vertices,
+    functional_on,
     maximize,
     propagate_unit_box,
     satisfies,
@@ -50,7 +51,7 @@ def triangle():
 
 
 def test_maximize_square_corner():
-    val, point = maximize(unit_square(), [F(1), F(1)])
+    val, point = maximize(unit_square(), {"x": 1, "y": 1})
     assert val == 2
     assert tuple(point) == (F(1), F(1))
 
@@ -60,7 +61,7 @@ def test_maximize_with_equality():
     sb.add_box("x")
     sb.add_box("y")
     sb.add_eq({"x": 1, "y": 1}, 1)
-    val, point = maximize(sb.build(), [F(3), F(1)])
+    val, point = maximize(sb.build(), {"x": 3, "y": 1})
     assert val == 3
     assert tuple(point) == (F(1), F(0))
 
@@ -70,20 +71,20 @@ def test_infeasible_detected():
     sb.add_eq({"x": 1}, 2)
     sb.add_box("x")
     with pytest.raises(Infeasible):
-        maximize(sb.build(), [F(1)])
+        maximize(sb.build(), {"x": 1})
 
 
 def test_unbounded_detected():
     sb = SystemBuilder(["x"])
     sb.add_ineq({"x": -1}, 0)  # x >= 0 only
     with pytest.raises(Unbounded):
-        maximize(sb.build(), [F(1)])
+        maximize(sb.build(), {"x": 1})
 
 
 def test_exact_fractions_survive():
     sb = SystemBuilder(["x"])
     sb.add_eq({"x": 3}, 1)
-    val, point = maximize(sb.build(), [F(1)])
+    val, point = maximize(sb.build(), {"x": 1})
     assert val == F(1, 3) and tuple(point) == (F(1, 3),)
 
 
@@ -162,32 +163,27 @@ def direct_build(sys):
     return Polytope(sys.vars, sys.eqs, sys.ineqs)
 
 
-def pins(sys, values):
-    """A premise {name: v} as pins {variable index: v}."""
-    return {sys.index[name]: v for name, v in values.items()}
-
-
 def test_with_premise_matches_direct_build():
     base = unit_square()
-    sys2 = with_premise(base, {0: F(1, 2)})  # x = 1/2
+    sys2 = with_premise(base, {"x": F(1, 2)})
     assert sys2.eqs == ((((0, 2),), 1),)  # 2x = 1
-    val, point = maximize(sys2, [F(1), F(1)])
+    val, point = maximize(sys2, {"x": 1, "y": 1})
     assert (val, point) == (F(3, 2), (F(1, 2), F(1)))
-    val, _ = maximize(sys2, [F(1), F(-2)])
+    val, _ = maximize(sys2, {"x": 1, "y": -2})
     assert val == F(1, 2)  # x - 2y maximized at y = 0
     assert sys2.reduced == direct_build(sys2).reduced
 
     # a redundant pin changes neither the reduction nor the optimum
-    again = with_premise(sys2, {0: F(1, 2)})
+    again = with_premise(sys2, {"x": F(1, 2)})
     assert again.reduced == sys2.reduced == direct_build(again).reduced
-    assert maximize(again, [F(1), F(1)]) == (F(3, 2), (F(1, 2), F(1)))
+    assert maximize(again, {"x": 1, "y": 1}) == (F(3, 2), (F(1, 2), F(1)))
 
     # a pin that conflicts with an earlier one, or with the box, empties
     # the system in elimination already
-    for child in (with_premise(sys2, {0: 1}), with_premise(base, {0: 2})):
+    for child in (with_premise(sys2, {"x": 1}), with_premise(base, {"x": 2})):
         assert child.reduced is None
         with pytest.raises(Infeasible):
-            maximize(child, [F(1), F(1)])
+            maximize(child, {"x": 1, "y": 1})
 
     # restricted in the parent's t-space, the child reduces to exactly
     # the x0, basis, rows, rhs (and row order) of a from-scratch build
@@ -195,8 +191,8 @@ def test_with_premise_matches_direct_build():
     for base, first, second in (
             (smap_system(mo3), {"a|a": 1, "b|b": 1}, {"c|c": F(1, 2)}),
             (state_system(mo3), {"a": 1}, {"b": 1})):
-        child = with_premise(base, pins(base, first))
-        grandchild = with_premise(child, pins(child, second))
+        child = with_premise(base, first)
+        grandchild = with_premise(child, second)
         for sys in (child, grandchild):
             red = sys.reduced
             assert red is not None and red.rows
@@ -208,23 +204,23 @@ def test_with_premise_matches_direct_build():
     hs3 = smap_system(lattice.horizontal_sum([
         lattice.boolean_algebra(3), lattice.boolean_algebra(2),
         lattice.boolean_algebra(2)]))
-    n = len(hs3.vars)
+    names = hs3.vars
     for seed in range(30):
         rng, sys = random.Random(seed), hs3
         for _generation in range(2):
-            obj = [F(rng.choice((-1, 0, 1))) for _ in range(n)]
+            obj = {v: rng.choice((-1, 0, 1)) for v in names}
             _val, vertex = maximize(sys, obj)
-            values = {j: vertex[j]
-                      for j in rng.sample(range(n), rng.randint(1, 6))}
+            picked = rng.sample(range(len(names)), rng.randint(1, 6))
+            values = {names[j]: vertex[j] for j in picked}
             if rng.random() < 0.3:
-                values[rng.randrange(n)] = F(rng.randint(0, 3), 3)
+                values[rng.choice(names)] = F(rng.randint(0, 3), 3)
             sys = with_premise(sys, values)
             direct = direct_build(sys)
             assert sys.reduced == direct.reduced, seed
             if sys.start is None:
                 assert direct.start is None
                 break
-            obj = [F(rng.choice((-1, 0, 1))) for _ in range(n)]
+            obj = {v: rng.choice((-1, 0, 1)) for v in names}
             assert maximize(sys, obj) == maximize(direct, obj), seed
 
 
@@ -242,7 +238,7 @@ def test_linear_keeps_no_module_state():
 def test_maximum_dominates_grid(i, j):
     x, y = F(i, 8), F(j, 8)
     if x + y <= 1:
-        val, _ = maximize(triangle(), [F(2), F(3)])
+        val, _ = maximize(triangle(), {"x": 2, "y": 3})
         assert 2 * x + 3 * y <= val
 
 
@@ -277,8 +273,9 @@ def brute_vertices(n, rows):
 @st.composite
 def boxed_lps(draw):
     """The unit box in 1-3 variables, up to five random rows with small
-    integer data (so rows often meet in degenerate vertices), and an
-    objective."""
+    integer data (so rows often meet in degenerate vertices), up to one
+    equality through a point of the box, and an objective {x<j>: k / q}
+    with q in 1..3 and zero entries kept."""
     n = draw(st.integers(1, 3))
     small = st.integers(-2, 2)
     rows = []
@@ -288,30 +285,54 @@ def boxed_lps(draw):
     for _ in range(draw(st.integers(0, 5))):
         rows.append((tuple(draw(small) for _ in range(n)),
                      F(draw(small), draw(st.integers(1, 2)))))
-    obj = tuple(draw(st.integers(-3, 3)) for _ in range(n))
-    return n, rows, obj
+    eqs = []
+    for _ in range(draw(st.integers(0, 1))):
+        coeffs = tuple(draw(small) for _ in range(n))
+        point = [F(draw(st.integers(0, 2)), 2) for _ in range(n)]
+        eqs.append((coeffs, sum(c * x for c, x in zip(coeffs, point))))
+    obj = {"x%d" % j: F(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
+           for j in range(n)}
+    return n, rows, eqs, obj
 
 
 @settings(max_examples=300, deadline=None)
 @given(boxed_lps())
 def test_maximize_matches_vertex_oracle(lp):
-    n, rows, obj = lp
+    n, rows, eqs, obj = lp
     names = ["x%d" % j for j in range(n)]
     sb = SystemBuilder(names)
     for coeffs, rhs in rows:
         sb.add_ineq(dict(zip(names, coeffs)), rhs)
+    for coeffs, rhs in eqs:
+        sb.add_eq(dict(zip(names, coeffs)), rhs)
     sys = sb.build()
-    verts = brute_vertices(n, rows)
+    verts = brute_vertices(n, rows + [(tuple(-c for c in coeffs), -rhs)
+                                      for coeffs, rhs in eqs] + eqs)
     assert set(map(tuple, enumerate_vertices(sys))) == verts
     if not verts:  # a bounded empty system
         with pytest.raises(Infeasible):
             maximize(sys, obj)
         assert solve(sys).status == "empty"
         return
+
+    def value(x):
+        return sum(obj[name] * v for name, v in zip(names, x))
+
     val, point = maximize(sys, obj)
-    assert val == max(sum(c * v for c, v in zip(obj, x)) for x in verts)
+    assert val == max(map(value, verts))
     assert satisfies(sys, point)
-    assert sum(c * v for c, v in zip(obj, point)) == val
+    assert value(point) == val
+    assert maximize(sys, {k: c for k, c in obj.items() if c}) == (val, point)
+
+    # an empty obj: the objective is const on the affine hull that
+    # elimination leaves, so on every vertex; when the set spans that
+    # hull, the converse holds too
+    const, terms = functional_on(sys, obj)
+    values = set(map(value, verts))
+    if not terms:
+        assert values == {const}
+    elif solve(sys).dim == len(sys.reduced.basis):
+        assert len(values) > 1
 
 
 def test_beale_cycling_example_terminates():
@@ -323,7 +344,8 @@ def test_beale_cycling_example_terminates():
     sb.add_ineq({"x6": 1}, 1)
     for x in sb.vars:
         sb.add_ineq({x: -1}, 0)
-    val, point = maximize(sb.build(), [F(3, 4), -20, F(1, 2), -6])
+    val, point = maximize(sb.build(),
+                          {"x4": F(3, 4), "x5": -20, "x6": F(1, 2), "x7": -6})
     assert val == F(5, 4)
     assert point == (1, 0, 1, 0)
 
@@ -336,7 +358,7 @@ def test_infeasible_inequalities_detected():
     sb.add_box("y")
     sys = sb.build()
     with pytest.raises(Infeasible):
-        maximize(sys, [F(0), F(1)])
+        maximize(sys, {"y": 1})
     assert solve(sys).status == "empty"
     assert enumerate_vertices(sys) == []
 
@@ -348,8 +370,8 @@ def test_rows_that_do_not_span_t_space():
     sb.add_ineq({"x": -1, "y": 1}, 1)
     sys = sb.build()
     with pytest.raises(Unbounded):
-        maximize(sys, [F(1), F(1)])
-    val, point = maximize(sys, [F(-2), F(2)])
+        maximize(sys, {"x": 1, "y": 1})
+    val, point = maximize(sys, {"x": -2, "y": 2})
     assert val == 2 and satisfies(sys, point)
     with pytest.raises(Unbounded):
         enumerate_vertices(sys)
@@ -357,8 +379,9 @@ def test_rows_that_do_not_span_t_space():
 
 def test_maximize_does_not_depend_on_earlier_calls():
     mo3 = lattice.mo(3)
-    n = len(smap_system(mo3).vars)
-    targets = [[F((i + k) % 3 - 1) for i in range(n)] for k in range(4)]
+    names = smap_system(mo3).vars
+    targets = [{v: (i + k) % 3 - 1 for i, v in enumerate(names)}
+               for k in range(4)]
     fresh = [maximize(smap_system(mo3), c) for c in targets]
     shared = smap_system(mo3)
     for c in reversed(targets):
@@ -401,8 +424,8 @@ def test_solve_witness_is_relative_interior(l):
 
 def rescan_propagate(sys, seed):
     """propagate_unit_box as it was: every row, every pass, until a pass
-    pins nothing."""
-    known = dict(seed)
+    pins nothing; seed and result by variable name."""
+    known = {sys.index[name]: v for name, v in seed.items()}
     if any(not 0 <= v <= 1 for v in known.values()):
         return None
     changed = True
@@ -440,7 +463,7 @@ def rescan_propagate(sys, seed):
                 for j, c in unknown:
                     known[j] = F(1) if c > 0 else F(0)
                 changed = True
-    return known
+    return {sys.vars[j]: v for j, v in known.items()}
 
 
 @pytest.mark.parametrize("l", [
@@ -455,8 +478,7 @@ def test_worklist_propagation_matches_rescan(l):
     base = smap_system(l)
     for i, a in enumerate(l.elements):
         for b in l.elements[i:]:
-            seed = {base.index[pair_var(a, a)]: F(1),
-                    base.index[pair_var(b, b)]: F(1)}
+            seed = {pair_var(a, a): F(1), pair_var(b, b): F(1)}
             assert (propagate_unit_box(base, seed)
                     == rescan_propagate(base, seed)), (a, b)
 
@@ -645,7 +667,8 @@ def test_integer_elimination_matches_fraction_elimination(system):
         assert tuple(tuple(F(v, den) for v in col) for col in basis) == ref[1]
 
     red = reference.reduce(eqs, ineqs, n)
-    restricted = with_premise(sys, pins).reduced
+    restricted = with_premise(
+        sys, {names[j]: v for j, v in pins.items()}).reduced
     assert reference.rational_form(sys.reduced) == red
     assert reference.rational_form(restricted) == reference.restrict(red, pins)
     for got in (sys.reduced, restricted):  # canonical integers

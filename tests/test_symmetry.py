@@ -165,8 +165,7 @@ def _bell_all(prop, l, sys, arity, var):
     certs = {}
     for xs in itertools.product(l.elements, repeat=arity):
         label = ",".join(xs)
-        val, point = maximize(sys, analysis._coeff_vec(
-            sys, analysis._bell_coeffs(xs, var)))
+        val, point = maximize(sys, analysis._bell_coeffs(xs, var))
         certs[label] = analysis.fmt_rat(val)
         if worst is None or val > worst[0]:
             worst = (val, label, point)
@@ -190,10 +189,9 @@ def _jauch_piron_state_all(l):
     worst = None
     for i, a in enumerate(l.elements):
         for b in l.elements[i:]:
-            sys = with_premise(base, {base.index[a]: 1, base.index[b]: 1})
+            sys = with_premise(base, {a: 1, b: 1})
             try:
-                negmin, point = maximize(sys, analysis._coeff_vec(
-                    sys, {l.meet(a, b): -1}))
+                negmin, point = maximize(sys, {l.meet(a, b): -1})
             except Infeasible:
                 continue
             if worst is None or -negmin < worst[0]:
@@ -215,8 +213,8 @@ def _jauch_piron_smap_all(l):
     base = analysis.smap_system(l)
     for i, a in enumerate(l.elements):
         for b in l.elements[i:]:
-            known = propagate_unit_box(base, {
-                base.index[pair_var(a, a)]: 1, base.index[pair_var(b, b)]: 1})
+            known = propagate_unit_box(base, {pair_var(a, a): 1,
+                                              pair_var(b, b): 1})
             if known is None:
                 continue
             try:
