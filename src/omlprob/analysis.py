@@ -122,10 +122,9 @@ def _pseudometric_rows(l: Oml):
         yield "triangle", (a, b, c), (a, b), ((a, c), (c, b)), (), 0, True
 
 
-def _smap_system_with_pseudometric(l: Oml) -> Polytope:
-    """The s-map system plus the pseudometric rows on
+def _smap_system_with_pseudometric(l: Oml, base: Polytope) -> Polytope:
+    """base, l's s-map system, plus the pseudometric rows on
     d_p(a, b) = p(a, b') + p(a', b)."""
-    base = smap_system(l)
     sb = SystemBuilder(base.vars)
     oc = l.ocomp
     sb.add_rows(_pseudometric_rows(l), lambda pair: (
@@ -141,11 +140,12 @@ def bell2_smap(l: Oml, require_pseudometric: bool = False) -> PropertyVerdict:
     whose derived d_p is symmetric and satisfies the triangle
     inequality; the unrestricted verdict is reported in the details.
     """
-    unrestricted = _bell("bell2-smap", l, smap_system(l), 3, pair_var)
+    base = smap_system(l)
+    unrestricted = _bell("bell2-smap", l, base, 3, pair_var)
     if not require_pseudometric:
         return unrestricted
     restricted = _bell("bell2-smap-pseudometric", l,
-                       _smap_system_with_pseudometric(l), 3, pair_var)
+                       _smap_system_with_pseudometric(l, base), 3, pair_var)
     return PropertyVerdict(
         restricted.property, restricted.scope, restricted.verdict,
         witness=restricted.witness, certificate=restricted.certificate,
@@ -264,7 +264,7 @@ class PseudometricVerdict:
 
 def is_pseudometric(D: BiMap) -> PseudometricVerdict:
     """d(a,a) = 0, symmetry, triangle inequality, over all triples."""
-    hit = first_violation(_pseudometric_rows(D.lattice), D._map)
+    hit = first_violation(_pseudometric_rows(D.lattice), D.values)
     if hit is None:
         return PseudometricVerdict(True)
     return PseudometricVerdict(False, hit[0], hit[1])
@@ -289,7 +289,7 @@ class SweepReport:
                 "violated_axiom": self.violation.violated_axiom,
                 "witness_elements": list(self.violation.witness),
                 "d_p": {"%s|%s" % p: fmt_rat(v)
-                        for p, v in derive_d_from_s(self.smap).values},
+                        for p, v in derive_d_from_s(self.smap).values.items()},
             })
         return out
 

@@ -44,54 +44,54 @@ class InvalidCorners(BiMapError):
 
 @dataclass(frozen=True)
 class BiMap:
-    """A total map (element, element) -> Fraction in [0, 1]."""
+    """A total map (element, element) -> Fraction in [0, 1].
+
+    values is the dict {(a, b): Fraction} over all ordered pairs, in
+    lattice.pairs() order: the dict the checkers hand to
+    linear.first_violation.  It must not be mutated.
+    """
 
     lattice: Oml
-    values: tuple  # (((a, b), Fraction), ...) over all ordered pairs
+    values: dict
 
     def __post_init__(self):
-        object.__setattr__(self, "_map", dict(self.values))
-        expected = set(self.lattice.pairs())
-        got = set(self._map)
-        if got != expected:
-            raise BiMapError("map is not total on L x L")
-        for pair, v in self.values:
+        if list(self.values) != list(self.lattice.pairs()):
+            raise BiMapError("map is not total on L x L in pair order")
+        for pair, v in self.values.items():
             if not 0 <= v.numerator <= v.denominator:
                 raise BiMapError("value at %s is outside [0, 1]" % (pair,))
 
     def __call__(self, a: str, b: str) -> Fraction:
-        return self._map[(a, b)]
+        return self.values[(a, b)]
 
     @staticmethod
     def from_dict(l: Oml, values: dict) -> "BiMap":
-        return BiMap(l, tuple(((a, b), as_fraction(values[(a, b)]))
-                              for a, b in l.pairs()))
+        return BiMap(l, {p: as_fraction(values[p]) for p in l.pairs()})
 
     @staticmethod
     def from_function(l: Oml, fn) -> "BiMap":
-        return BiMap(l, tuple(((a, b), as_fraction(fn(a, b)))
-                              for a, b in l.pairs()))
+        return BiMap(l, {(a, b): as_fraction(fn(a, b)) for a, b in l.pairs()})
 
     @staticmethod
     def from_vector(l: Oml, vec) -> "BiMap":
         pairs = list(l.pairs())
-        return BiMap(l, tuple((p, as_fraction(v))
-                              for p, v in zip(pairs, vec)))
+        if len(vec) != len(pairs):
+            raise BiMapError("vector has %d values for %d pairs"
+                             % (len(vec), len(pairs)))
+        return BiMap(l, dict(zip(pairs, map(as_fraction, vec))))
 
     def as_vector(self) -> tuple:
-        return tuple(v for _, v in self.values)
+        return tuple(self.values.values())
 
     def replace(self, a: str, b: str, value) -> "BiMap":
         """A copy with one entry changed (used by mutation tests)."""
-        vals = dict(self._map)
-        vals[(a, b)] = Fraction(value)
-        return BiMap.from_dict(self.lattice, vals)
+        return BiMap(self.lattice, {**self.values, (a, b): Fraction(value)})
 
     def to_json(self, lattice_path: str = "") -> str:
         return json.dumps(
             {"lattice": lattice_path,
              "values": {"%s|%s" % (a, b): fmt_rat(v)
-                        for (a, b), v in self.values}},
+                        for (a, b), v in self.values.items()}},
             indent=2)
 
 
@@ -112,10 +112,10 @@ def bimap_from_json(text: str, l: Oml) -> BiMap:
         if a not in elements or b not in elements:
             raise BiMapError("pair key %r names no element pair" % key)
         values[(a, b)] = parse_rat(v)
-    missing = [p for p in l.pairs() if p not in values]
-    if missing:
-        raise BiMapError("missing pairs, e.g. %s" % (missing[0],))
-    return BiMap.from_dict(l, values)
+    try:
+        return BiMap(l, {p: values[p] for p in l.pairs()})
+    except KeyError as e:
+        raise BiMapError("missing pairs, e.g. %s" % (e.args[0],)) from None
 
 
 # -- axiom checkers ------------------------------------------------------
@@ -135,8 +135,12 @@ class Violation:
 
 
 @dataclass(frozen=True)
-class AxiomReport:
-    system: str  # "s-map" | "j-map" | "d-map" | "G-map"
+class Report:
+    """The verdict of one checker: the map system ("s-map", "j-map",
+    "d-map", "G-map") or identity it checked, whether every row held,
+    and the first row that did not."""
+
+    name: str
     ok: bool
     first_violation: Violation | None = None
 
@@ -195,37 +199,36 @@ def _axiom_rows(system: str, l: Oml):
             yield col3, elems, (c, j), ((c, a), (c, b)), col_off, 0, False
 
 
-def _report(name: str, rows, M: BiMap):
-    """(name, ok, first violation) of M against the rows."""
-    hit = first_violation(rows, M._map)
-    return name, hit is None, hit and Violation(*hit)
+def _report(name: str, rows, M: BiMap) -> Report:
+    """The report of M against the rows."""
+    hit = first_violation(rows, M.values)
+    return Report(name, hit is None, hit and Violation(*hit))
 
 
-def check_map(system: str, M: BiMap) -> AxiomReport:
+def check_map(system: str, M: BiMap) -> Report:
     """Exhaustive check of axioms (x1)-(x3) of system "s", "j", "d" or "g":
     the first axiom row whose two sides differ on M, with both values."""
     if system not in _TABLES:
         raise BiMapError("unknown axiom system %r" % system)
-    return AxiomReport(*_report(_TABLES[system][0],
-                                _axiom_rows(system, M.lattice), M))
+    return _report(_TABLES[system][0], _axiom_rows(system, M.lattice), M)
 
 
-def check_s_map(P: BiMap) -> AxiomReport:
+def check_s_map(P: BiMap) -> Report:
     """Exhaustive check of (s1)-(s3)."""
     return check_map("s", P)
 
 
-def check_j_map(Q: BiMap) -> AxiomReport:
+def check_j_map(Q: BiMap) -> Report:
     """Exhaustive check of (j1)-(j3)."""
     return check_map("j", Q)
 
 
-def check_d_map(D: BiMap) -> AxiomReport:
+def check_d_map(D: BiMap) -> Report:
     """Exhaustive check of (d1)-(d3)."""
     return check_map("d", D)
 
 
-def check_g_map(G: BiMap) -> AxiomReport:
+def check_g_map(G: BiMap) -> Report:
     """Exhaustive check of (G1)-(G3)."""
     return check_map("g", G)
 
@@ -274,7 +277,7 @@ def classify_family(G: BiMap) -> FamilyTag:
 
 def complement_map(G: BiMap) -> BiMap:
     """The pointwise complement 1 - G (a G-map again)."""
-    return BiMap(G.lattice, tuple((p, ONE - v) for p, v in G.values))
+    return BiMap(G.lattice, {p: ONE - v for p, v in G.values.items()})
 
 
 # -- derived maps --------------------------------------------------------
@@ -282,7 +285,7 @@ def complement_map(G: BiMap) -> BiMap:
 
 def induced_state_from_smap(P: BiMap) -> StateFn:
     """m_p(a) = p(a, a), the state induced by an s-map."""
-    return StateFn(tuple((a, P(a, a)) for a in P.lattice.elements))
+    return StateFn({a: P(a, a) for a in P.lattice.elements})
 
 
 def derive_j_from_s(P: BiMap) -> BiMap:
@@ -305,7 +308,7 @@ def derive_pure_projection_from_s(P: BiMap) -> BiMap:
 
 def induced_state_from_gamma9(G: BiMap, b: str) -> StateFn:
     """m_b(a) = G(a, b) for a Gamma9 map; a state for every choice of b."""
-    return StateFn(tuple((a, G(a, b)) for a in G.lattice.elements))
+    return StateFn({a: G(a, b) for a in G.lattice.elements})
 
 
 def _purity_rows(l: Oml):
@@ -316,7 +319,7 @@ def _purity_rows(l: Oml):
 
 def is_pure_projection(G: BiMap):
     """(True, None) or (False, first (a, b) with G(a, b) != G(a, 0))."""
-    hit = first_violation(_purity_rows(G.lattice), G._map)
+    hit = first_violation(_purity_rows(G.lattice), G.values)
     return (True, None) if hit is None else (False, hit[1])
 
 
@@ -355,16 +358,6 @@ def build_table3_family(r1, r2, u1, u2, l: Oml | None = None) -> BiMap:
 # -- identity verification -----------------------------------------------
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    name: str
-    ok: bool
-    first_violation: Violation | None = None
-
-    def __bool__(self):
-        return self.ok
-
-
 def _komp_rows(l: Oml):
     """verify_lemma_komp's rows, one per compatible pair, in pair order."""
     z, oc = (l.bot, l.bot), l.ocomp
@@ -376,11 +369,10 @@ def _komp_rows(l: Oml):
             yield "compatible-pair", (a, b), (a, b), plus, (z, z), 0, False
 
 
-def verify_lemma_komp(G: BiMap) -> IdentityReport:
+def verify_lemma_komp(G: BiMap) -> Report:
     """For every compatible pair:
     G(a,b) = G(a^b, a^b) + G(a^b', 0) + G(0, a'^b) - 2 G(0,0)."""
-    return IdentityReport(*_report("lemma-compatible-decomposition",
-                                   _komp_rows(G.lattice), G))
+    return _report("lemma-compatible-decomposition", _komp_rows(G.lattice), G)
 
 
 def _gamma9_rows(l: Oml):
@@ -400,7 +392,7 @@ def _gamma9_rows(l: Oml):
                    tuple((a, b) for b in part[1:]), 0, False)
 
 
-def verify_gamma9_identities(G: BiMap) -> IdentityReport:
+def verify_gamma9_identities(G: BiMap) -> Report:
     """The four Gamma9 identities, exhaustively, in the row form they
     are checked and reported in:
 
@@ -411,8 +403,7 @@ def verify_gamma9_identities(G: BiMap) -> IdentityReport:
     4. G(a, b_1) = n G(a, 0) - sum_{i>=2} G(a, b_i) over every orthogonal
        partition b_1, ..., b_n of the unit, i.e. G(a, 0) is the mean.
     """
-    return IdentityReport(*_report("gamma9-identities",
-                                   _gamma9_rows(G.lattice), G))
+    return _report("gamma9-identities", _gamma9_rows(G.lattice), G)
 
 
 def _xor(l: Oml, a: str, b: str) -> str:
@@ -464,7 +455,7 @@ def _semantic_rows(l: Oml, gamma: int):
             yield label, (a, b), (a, b), plus, minus, const, False
 
 
-def semantic_check_on_compatible(G: BiMap) -> IdentityReport:
+def semantic_check_on_compatible(G: BiMap) -> Report:
     """On every compatible pair, G equals the induced-state value of the
     family's connective (meet for Gamma2, join for Gamma3, ...).
 
@@ -473,8 +464,7 @@ def semantic_check_on_compatible(G: BiMap) -> IdentityReport:
     gamma = classify_family(G).gamma
     if gamma not in _SEMANTICS:
         raise UnsupportedFamily("no connective semantics for Gamma%d" % gamma)
-    return IdentityReport(*_report("semantics",
-                                   _semantic_rows(G.lattice, gamma), G))
+    return _report("semantics", _semantic_rows(G.lattice, gamma), G)
 
 
 # -- axiom systems as linear constraints ---------------------------------

@@ -14,7 +14,7 @@ import json
 import sys
 
 from . import analysis, bimaps, lattice, states
-from .linear import CapExceeded
+from .linear import CapExceeded, enumerate_vertices
 from .rational import fmt_rat, parse_rat
 
 OK, FOUND, USAGE = 0, 1, 2
@@ -77,9 +77,9 @@ def cmd_check_map(args) -> int:
     l = _load_lattice(args.lattice)
     M = _load_map(args.map, l)
     report = bimaps.check_map(args.system, M)
-    payload = {"system": report.system, "ok": report.ok}
+    payload = {"system": report.name, "ok": report.ok}
     if report.ok:
-        human = "valid %s" % report.system
+        human = "valid %s" % report.name
         if args.system == "g":
             tag = bimaps.classify_family(M)
             payload["family"] = tag.gamma
@@ -90,7 +90,7 @@ def cmd_check_map(args) -> int:
     v = report.first_violation
     payload["violation"] = {"axiom": v.axiom, "elements": list(v.elements),
                             "lhs": fmt_rat(v.lhs), "rhs": fmt_rat(v.rhs)}
-    _emit(args, payload, "INVALID %s: %s" % (report.system, v))
+    _emit(args, payload, "INVALID %s: %s" % (report.name, v))
     return FOUND
 
 
@@ -130,15 +130,12 @@ def cmd_states(args) -> int:
     human = "%s (state-space dimension %d)" % (cls.tag, cls.polytope.dim)
     if args.vertices:
         try:
-            verts = states.state_vertices(l, args.vertices, system)
-            payload["vertices"] = [
-                {x: fmt_rat(v) for x, v in s.values} for s in verts]
-            payload["vertices_complete"] = True
+            verts, complete = enumerate_vertices(system, args.vertices), True
         except CapExceeded as e:
-            payload["vertices"] = [
-                {x: fmt_rat(v) for x, v in zip(l.elements, t)}
-                for t in e.vertices]
-            payload["vertices_complete"] = False
+            verts, complete = e.vertices, False
+        payload["vertices"] = [{x: fmt_rat(v) for x, v in zip(l.elements, t)}
+                               for t in verts]
+        payload["vertices_complete"] = complete
         human += "; %d state vertex/vertices listed" % len(payload["vertices"])
     _emit(args, payload, human)
     return OK
@@ -211,6 +208,8 @@ _PROPERTIES = {
 
 
 def cmd_property(args) -> int:
+    if args.require_pseudometric and args.name != "bell2-smap":
+        return _die("--require-pseudometric applies to bell2-smap only")
     l = _load_lattice(args.lattice)
     verdict = _PROPERTIES[args.name](l, args)
     payload = {"property": verdict.property, "verdict": verdict.verdict,

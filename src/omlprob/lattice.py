@@ -3,8 +3,8 @@
 Every lattice handled here is finite and explicitly enumerated (default
 bound: 64 elements).  Meets and joins are read off the order: the meet
 of a and b is the element whose down-set is down(a) & down(b), the join
-likewise from up-sets.  Blocks are generated by the maximal sets of
-pairwise orthogonal atoms.  The axioms, the orthomodular law and
+likewise from up-sets.  Blocks are generated by the sets of pairwise
+orthogonal atoms that join to 1.  The axioms, the orthomodular law and
 compatibility are checked exhaustively over those tables.
 """
 
@@ -156,21 +156,11 @@ class Oml:
         """All sets of pairwise-orthogonal nonzero elements joining to top.
 
         Returned as tuples in element order, smallest first; includes the
-        trivial partition (top,).
+        trivial partition (top,).  The search is the one blocks runs over
+        the atoms (see _orthogonal_sets).
         """
-        nonzero = [x for x in self.elements if x != self.bot]
-        results = []
-
-        def extend(start, chosen, current_join):
-            if current_join == self.top:
-                results.append(tuple(chosen))
-                return
-            for i in range(start, len(nonzero)):
-                x = nonzero[i]
-                if all(self.orthogonal(x, y) for y in chosen):
-                    extend(i + 1, chosen + [x], self.join(current_join, x))
-
-        extend(0, [], self.bot)
+        results = _orthogonal_sets(
+            self, [x for x in self.elements if x != self.bot])
         results.sort(key=lambda p: (len(p), p))
         return results
 
@@ -471,37 +461,45 @@ def horizontal_sum(parts: list) -> Oml:
 # -- blocks --------------------------------------------------------------
 
 
+def _orthogonal_sets(l: Oml, candidates) -> list:
+    """Every set of pairwise orthogonal candidates that joins to top, as
+    tuples in candidate order, in search order.
+
+    x is orthogonal to each chosen y_i iff x <= meet of the y_i' = (join
+    of the y_i)', so a candidate is tested against the current join
+    alone.  Once the join is top no nonzero candidate can follow.
+    """
+    results = []
+
+    def extend(start, chosen, current_join):
+        if current_join == l.top:
+            results.append(tuple(chosen))
+            return
+        for i in range(start, len(candidates)):
+            x = candidates[i]
+            if l.orthogonal(x, current_join):
+                extend(i + 1, chosen + [x], l.join(current_join, x))
+
+    extend(0, [], l.bot)
+    return results
+
+
 def blocks(l: Oml) -> list:
     """Maximal Boolean subalgebras, as sorted element tuples.
 
     In a finite OML these are exactly the Boolean algebras generated by
     the maximal sets of pairwise orthogonal atoms (Greechie, J. Combin.
-    Theory A 10, 1971; Kalmbach, Orthomodular Lattices, 1983).  Each set
-    is a maximal clique of the atoms' orthogonality graph, and its block
-    holds the x that equal the join of the set's atoms below x.
+    Theory A 10, 1971; Kalmbach, Orthomodular Lattices, 1983).  Such a
+    set is maximal exactly when its join is 1 (below a join j < 1 lies
+    an atom of j', orthogonal to the whole set), so the sets are the
+    atom sets that join to 1, found by the search orthogonal_partitions
+    runs over the nonzero elements.  Each block holds the x that equal
+    the join of its set's atoms below x.
     """
-    atoms = l.atoms()
-    ortho = {p: {q for q in atoms if q != p and l.orthogonal(p, q)}
-             for p in atoms}
-
-    cliques = []
-
-    def bron_kerbosch(r, p, x):
-        if not p and not x:
-            cliques.append(r)
-            return
-        pivot = max(p | x, key=lambda v: len(ortho[v] & p))
-        for v in [v for v in atoms if v in p - ortho[pivot]]:
-            bron_kerbosch(r | {v}, p & ortho[v], x & ortho[v])
-            p = p - {v}
-            x = x | {v}
-
-    bron_kerbosch(set(), set(atoms), set())
-
     result = []
-    for clique in cliques:
+    for atoms in _orthogonal_sets(l, l.atoms()):
         result.append(tuple(x for x in l.elements if x == functools.reduce(
-            l.join, [p for p in clique if l.leq(p, x)], l.bot)))
+            l.join, [p for p in atoms if l.leq(p, x)], l.bot)))
     return sorted(result)
 
 

@@ -42,15 +42,17 @@ class AdditivityFailure(StateError):
 
 @dataclass(frozen=True)
 class StateFn:
-    """A total map element -> Fraction; candidate probability measure."""
+    """A total map element -> Fraction; candidate probability measure.
 
-    values: tuple  # ((element, Fraction), ...) in lattice element order
+    values is the dict {element: Fraction} in lattice element order: the
+    dict validate_state hands to linear.first_violation.  It must not be
+    mutated.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "_map", dict(self.values))
+    values: dict
 
     def __call__(self, x: str) -> Fraction:
-        return self._map[x]
+        return self.values[x]
 
     def as_dict(self) -> dict:
         return dict(self.values)
@@ -63,15 +65,18 @@ class StateFn:
         extra = [x for x in values if x not in l.elements]
         if extra:
             raise StateError("state mentions unknown elements %s" % extra)
-        return StateFn(tuple((x, as_fraction(values[x]))
-                             for x in l.elements))
+        return StateFn({x: as_fraction(values[x]) for x in l.elements})
 
     @staticmethod
     def from_vector(l: Oml, vec) -> "StateFn":
-        return StateFn(tuple(zip(l.elements, map(as_fraction, vec))))
+        if len(vec) != len(l.elements):
+            raise StateError("vector has %d values for %d elements"
+                             % (len(vec), len(l.elements)))
+        return StateFn(dict(zip(l.elements, map(as_fraction, vec))))
 
     def to_json(self) -> str:
-        return json.dumps({x: fmt_rat(v) for x, v in self.values}, indent=2)
+        return json.dumps({x: fmt_rat(v) for x, v in self.values.items()},
+                          indent=2)
 
 
 def state_from_json(l: Oml, text: str) -> StateFn:
@@ -100,7 +105,7 @@ def validate_state(l: Oml, s: StateFn) -> None:
     for x in l.elements:
         if not 0 <= s(x) <= 1:
             raise OutOfRange(x, s(x))
-    hit = first_violation(_state_rows(l), s._map)
+    hit = first_violation(_state_rows(l), s.values)
     if hit is None:
         return
     axiom, elems, lhs, rhs = hit
@@ -155,12 +160,7 @@ def classify_states(l: Oml, sys: Polytope | None = None) -> StateClass:
     return StateClass(tag, info)
 
 
-def state_vertices(l: Oml, cap: int = 10000,
-                   sys: Polytope | None = None) -> list:
-    """Extreme states of the state polytope, as StateFn, in vertex order.
-
-    sys is l's state_system, when the caller has built it already.
-    """
-    if sys is None:
-        sys = state_system(l)
-    return [StateFn.from_vector(l, v) for v in enumerate_vertices(sys, cap)]
+def state_vertices(l: Oml, cap: int = 10000) -> list:
+    """Extreme states of the state polytope, as StateFn, in vertex order."""
+    return [StateFn.from_vector(l, v)
+            for v in enumerate_vertices(state_system(l), cap)]

@@ -266,7 +266,7 @@ PSEUDOMETRIC_REDUCED_DIGESTS = {
 @pytest.mark.parametrize("lname", sorted(PSEUDOMETRIC_REDUCED_DIGESTS))
 def test_pseudometric_system_reduction_unchanged(lname, request):
     l = request.getfixturevalue(lname)
-    assert (reduced_digest(_smap_system_with_pseudometric(l))
+    assert (reduced_digest(_smap_system_with_pseudometric(l, smap_system(l)))
             == PSEUDOMETRIC_REDUCED_DIGESTS[lname])
 
 
@@ -287,7 +287,7 @@ def test_pseudometric_checker_agrees_with_system(mo2, mo3):
     # minimize one pair variable
     for l, vertices in ((mo2, enumerate_vertices(smap_system(mo2), 100)),
                         (mo3, lp_vertices(mo3))):
-        sys = _smap_system_with_pseudometric(l)
+        sys = _smap_system_with_pseudometric(l, smap_system(l))
         verdicts = set()
         for vec in vertices:
             P = BiMap.from_vector(l, vec)

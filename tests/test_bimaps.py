@@ -341,6 +341,29 @@ def test_bimap_rejects_out_of_range(mo2):
         BiMap.from_function(mo2, lambda a, b: F(3, 2))
 
 
+def test_from_vector_rejects_a_wrong_length(mo2):
+    n = len(mo2.elements) ** 2
+    assert BiMap.from_vector(mo2, [F(0)] * n).as_vector() == (0,) * n
+    for size in (n - 1, n + 1):
+        with pytest.raises(BiMapError, match="vector has %d values for %d "
+                                             "pairs" % (size, n)):
+            BiMap.from_vector(mo2, [F(0)] * size)
+
+
+def test_bimap_rejects_a_dict_off_the_pairs(mo2):
+    values = dict.fromkeys(mo2.pairs(), F(0))
+    assert BiMap(mo2, values).values == values
+    missing = dict(values)
+    del missing[(mo2.top, mo2.top)]
+    extra = dict(values)
+    extra[("a", "zz")] = F(0)
+    (first, v), *rest = values.items()
+    reordered = dict(rest + [(first, v)])
+    for bad in (missing, extra, reordered):
+        with pytest.raises(BiMapError, match="not total on L x L"):
+            BiMap(mo2, bad)
+
+
 # -- parametric family properties ----------------------------------------
 
 

@@ -307,6 +307,19 @@ def test_vertex_cap_messages(files, capsys):
     assert (code, err) == (2, "error: --cap must be 0 or more\n")
 
 
+def test_require_pseudometric_only_with_bell2_smap(files, capsys):
+    # every other property once ignored the flag and exited 0 or 1
+    for name in ("bell1-state", "bell1-smap", "bell2-state",
+                 "jauch-piron-state", "jauch-piron-smap"):
+        assert run(capsys, "--json", "property", name, files / "mo2.json",
+                   "--require-pseudometric") == (
+            2, "", "error: --require-pseudometric applies to bell2-smap "
+                   "only\n")
+    out = run(capsys, "--json", "property", "bell2-smap",
+              files / "mo2.json", "--require-pseudometric")[1]
+    assert json.loads(out)["property"] == "bell2-smap-pseudometric"
+
+
 def test_verify_semantics_with_fractional_corners(files, capsys):
     # and on Gamma13: main reports the BiMapError on stderr, exit 1
     for path, message in (

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import random
@@ -173,6 +174,24 @@ def test_orthogonal_partitions_mo2(mo2):
     parts = mo2.orthogonal_partitions()
     # [DERIVED] MO(2): {1}, {a,a'}, {b,b'} and nothing else
     assert parts == [(mo2.top,), ("a", "a'"), ("b", "b'")]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: mo(2), lambda: boolean_algebra(3), lambda: boolean_algebra(4),
+    lambda: horizontal_sum([boolean_algebra(k) for k in (3, 2, 2)]),
+    lambda: validate_oml(pasting_candidate(TWO))],
+    ids=["mo2", "2^3", "2^4", "hs3", "pasting"])
+def test_orthogonal_partitions_by_brute_force(make):
+    # every subset of the nonzero elements, tested pair by pair
+    l = make()
+    nonzero = [x for x in l.elements if x != l.bot]
+    want = sorted(
+        (s for r in range(1, len(nonzero) + 1)
+         for s in itertools.combinations(nonzero, r)
+         if all(l.orthogonal(x, y) for x, y in itertools.combinations(s, 2))
+         and functools.reduce(l.join, s) == l.top),
+        key=lambda s: (len(s), s))
+    assert l.orthogonal_partitions() == want
 
 
 # -- serialization round trip --------------------------------------------

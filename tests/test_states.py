@@ -60,6 +60,16 @@ def test_additivity_failure(mo2):
         validate_state(mo2, m)
 
 
+def test_from_vector_rejects_a_wrong_length(mo2):
+    # a short vector once made a partial state that is_state raised on
+    n = len(mo2.elements)
+    assert not is_state(mo2, StateFn.from_vector(mo2, [0] * n))
+    for size in (n - 1, n + 1):
+        with pytest.raises(StateError, match="vector has %d values for %d "
+                                             "elements" % (size, n)):
+            StateFn.from_vector(mo2, [0] * size)
+
+
 def test_state_json_round_trip(mo2):
     m = StateFn.from_dict(mo2, {
         "0": 0, "a": F(1, 3), "a'": F(2, 3),
