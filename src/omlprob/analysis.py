@@ -9,7 +9,10 @@ in a fixed deterministic order (element order, then lexicographic).
 Every system here is built from lattice operations alone, so a Bell
 target or Jauch-Piron pair is solved only when it comes first in its
 Aut(L) orbit; a reported one is the first to attain its value, so it
-comes first in its orbit too.
+comes first in its orbit too.  The searches compare optimum values
+alone (max_value); a violated verdict's LP is solved again, once, by
+maximize for the witness: the same Polytope and objective give the
+same argmax.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from fractions import Fraction
 from .bimaps import BiMap, derive_d_from_s, pair_var, smap_system
 from .lattice import Oml, tuple_orbits
 from .linear import (Polytope, SystemBuilder, enumerate_vertices,
-                     first_violation, functional_on, maximize,
+                     first_violation, functional_on, max_value, maximize,
                      propagate_unit_box, with_premise, Infeasible)
 from .rational import fmt_rat
 from .states import StateFn, state_system
@@ -74,17 +77,18 @@ def _bell(prop: str, l: Oml, sys: Polytope, arity: int, var):
     for code, xs in enumerate(itertools.product(l.elements, repeat=arity)):
         label = ",".join(xs)
         if reps[code] == code:
-            val, point = maximize(sys, _bell_coeffs(xs, var))
+            val = max_value(sys, _bell_coeffs(xs, var))
             maxima[code] = fmt_rat(val)
             if worst is None or val > worst[0]:
-                worst = (val, label, point)
+                worst = (val, label, xs)
         certs[label] = maxima[reps[code]]
-    val, label, point = worst
+    val, label, xs = worst
     if val <= ONE:
         return PropertyVerdict(prop, repr(l), "implied",
                                certificate={"max": fmt_rat(val),
                                             "bound": "1",
                                             "per_target_max": certs})
+    _val, point = maximize(sys, _bell_coeffs(xs, var))
     return PropertyVerdict(
         prop, repr(l), "violated",
         witness={"target": label, "value": fmt_rat(val),
@@ -176,16 +180,16 @@ def jauch_piron_state(l: Oml) -> PropertyVerdict:
             continue
         sys = with_premise(base, {a: 1, b: 1})
         try:
-            negmin, point = maximize(sys, {l.meet(a, b): -1})
+            low = -max_value(sys, {l.meet(a, b): -1})
         except Infeasible:
             continue  # no state satisfies the premise for this pair
-        low = -negmin
         if worst is None or low < worst[0]:
-            worst = (low, (a, b), point, sys)
+            worst = (low, (a, b), sys)
     if worst is None or worst[0] == 1:
         return PropertyVerdict("jauch-piron-state", repr(l), "implied",
                                certificate={"min_conclusion": "1"})
-    low, (a, b), point, sys = worst
+    low, (a, b), sys = worst
+    _negmin, point = maximize(sys, {l.meet(a, b): -1})
     return PropertyVerdict(
         "jauch-piron-state", repr(l), "violated",
         witness={"pair": "%s,%s" % (a, b),
@@ -199,7 +203,7 @@ def _smap_pair_witness(l: Oml, sys: Polytope, a: str, b: str):
     p(a,a) = p(b,b) = 1, breaks the addendum; None when it keeps it.
     Each question is whether x - y or y - x can be positive on sys, for
     x = p(a,c) or p(c,a) and y = p(c,c): settled by the affine hull when
-    the functional is constant there, else by maximize.  The conclusion
+    the functional is constant there, else by max_value.  The conclusion
     p(a,b) = 1 needs no question: pair (a,a) or one of its orbit came
     first, and its addendum at c = b made p(a,b) = p(b,b) under
     p(a,a) = 1.  Raises Infeasible when sys is empty."""
@@ -212,7 +216,7 @@ def _smap_pair_witness(l: Oml, sys: Polytope, a: str, b: str):
         base, obj = functional_on(sys, coeffs)
         if not obj and base <= 0:
             continue
-        val, _point = maximize(sys, coeffs)
+        val = max_value(sys, coeffs)
         if val > 0:
             return {"pair": pair, "addendum": "%s != %s" % addendum,
                     "gap": fmt_rat(val)}

@@ -7,7 +7,8 @@ checks a map's values against axiom rows the same way: on integers,
 over the values' common denominator.  A system is one
 immutable Polytope value.  Callers name variables: constraints,
 objectives and premises are {variable name: value} dicts, which
-_int_row alone turns into the integer rows used inside.  On first use
+_int_row alone turns into the integer rows used inside; it sums int
+coefficients as ints, so they never become Fractions.  On first use
 a system is reduced, once, by fraction-free Gaussian elimination on
 the equalities to x = (x0 + N t) / den, so optimization and vertex
 enumeration happen in the (usually much smaller) space t of the
@@ -20,11 +21,12 @@ tight at the current vertex, whose d x d inverse a pivot updates by
 rank one, in O(m.d), with no tableau or slack columns.  A dual simplex
 with zero objective finds one start vertex per Polytope (or proves it
 empty), and the Polytope keeps it; each objective runs the primal
-simplex from that vertex, so no result depends on earlier calls.  Both
-use Bland's rule and terminate.  Vertex enumeration walks the bases
-those pivots reach from the start vertex: from each basis, each slot
-relaxes and Bland's entering row takes its place.  The module keeps no
-state between calls.
+simplex from that vertex, so no result depends on earlier calls.
+max_value returns the optimum alone; maximize also lifts the maximizer
+back to x.  Both phases use Bland's rule and terminate.  Vertex
+enumeration walks the bases those pivots reach from the start vertex:
+from each basis, each slot relaxes and Bland's entering row takes its
+place.  The module keeps no state between calls.
 
 Intended for desk-scale instances (tens of variables); see the module
 users for the size discipline.
@@ -121,11 +123,14 @@ def _int_row(index, terms, rhs=0):
     a name that recurs summed, and its rhs, scaled by the least positive
     integer that makes every coefficient and rhs whole.  Returns (scale,
     terms, rhs): terms is a sorted tuple of (position in index, nonzero
-    int) pairs and rhs an int."""
-    row = collections.Counter()
+    int) pairs and rhs an int.  An int or Fraction is summed as it is,
+    any other value Fraction() takes is made a Fraction first."""
+    row = {}
     for name, c in terms:
-        row[index[name]] += Fraction(c)
-    rhs = Fraction(rhs)
+        c = c if type(c) in (int, Fraction) else Fraction(c)
+        j = index[name]
+        row[j] = row.get(j, 0) + c
+    rhs = rhs if type(rhs) in (int, Fraction) else Fraction(rhs)
     scale = math.lcm(rhs.denominator, *(c.denominator for c in row.values()))
     return (scale,
             tuple(sorted((j, c.numerator * (scale // c.denominator))
@@ -593,7 +598,7 @@ def _entering(b: _Basis, gamma):
 
 def _max_t(start: _Basis, obj):
     """Maximize obj . t over the rows of start, for integer obj terms;
-    (value, t).
+    (value, the _Basis at a maximizer t = its point()).
 
     The primal simplex over bases of tight rows, from start.  The
     leaving row is the lowest-index basis row with a negative
@@ -613,7 +618,7 @@ def _max_t(start: _Basis, obj):
         sign = 1 if b.det > 0 else -1
         out = [k for k, col in enumerate(b.adj) if col[d] * sign < 0]
         if not out:
-            return Fraction(_dot(obj, b.num), b.det), b.point()
+            return Fraction(_dot(obj, b.num), b.det), b
         k = min(out, key=b.basis.__getitem__)
         gamma = b.column(k)
         b.pivot(k, _entering(b, gamma), gamma)
@@ -638,14 +643,14 @@ def solve(sys: Polytope) -> PolyInfo:
     tight, points = [], []  # implicit equalities; minimisers of the rest
     for terms, b in red.rows:
         try:  # -min(terms . t)
-            val, t = _max_t(sys.start, [(j, -c) for j, c in terms])
+            val, opt = _max_t(sys.start, [(j, -c) for j, c in terms])
         except Unbounded:
             points = None
             continue
         if -val == b:
             tight.append((terms, b))
         elif points is not None:
-            points.append(t)
+            points.append(opt.point())
     d = len(red.basis)
     dim = len(_solve_eqs(tight, d)[2])  # the free directions they leave
     if points:
@@ -694,6 +699,19 @@ def enumerate_vertices(sys: Polytope, cap: int = 10000):
     return sorted(_lift(red, t) for t in found)
 
 
+def _optimum(sys: Polytope, coeffs: dict):
+    """maximize's value, and the _Basis where the simplex reached it."""
+    q, const, obj = _objective(sys, coeffs)
+    val, b = _max_t(sys.start, obj)
+    return (const + val) / q, b
+
+
+def max_value(sys: Polytope, coeffs: dict):
+    """maximize's value alone, with no argmax lifted back to x; raises
+    as maximize does."""
+    return _optimum(sys, coeffs)[0]
+
+
 def maximize(sys: Polytope, coeffs: dict):
     """Exact maximum of sum coeffs[name] x_name over sys, for coeffs a
     dict {variable name: coefficient}; (value, argmax), with the argmax
@@ -702,6 +720,5 @@ def maximize(sys: Polytope, coeffs: dict):
     Raises Infeasible on an empty system, Unbounded when the objective
     is unbounded above.
     """
-    q, const, obj = _objective(sys, coeffs)
-    val, t = _max_t(sys.start, obj)
-    return (const + val) / q, _lift(sys.reduced, t)
+    val, b = _optimum(sys, coeffs)
+    return val, _lift(sys.reduced, b.point())

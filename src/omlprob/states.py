@@ -98,10 +98,13 @@ def _state_rows(l: Oml):
 def validate_state(l: Oml, s: StateFn) -> None:
     """Check the state axioms exhaustively; raise on the first violation.
 
-    Values outside [0, 1] raise OutOfRange, before any row is read;
+    A values dict that is not l's elements in order raises StateError;
+    values outside [0, 1] raise OutOfRange, before any row is read;
     then the first broken row of _state_rows raises NotNormalized
     (m(0) = 0, m(1) = 1) or AdditivityFailure.
     """
+    if list(s.values) != list(l.elements):
+        raise StateError("state is not total on L in element order")
     for x in l.elements:
         if not 0 <= s(x) <= 1:
             raise OutOfRange(x, s(x))

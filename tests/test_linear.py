@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -8,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from omlprob import lattice, linear
-from omlprob.analysis import bell1_state
-from omlprob.bimaps import gmap_system, jmap_system, pair_var, smap_system
+from omlprob.analysis import _smap_system_with_pseudometric, bell1_state
+from omlprob.bimaps import (dmap_system, gmap_system, jmap_system, pair_var,
+                            smap_system)
 from omlprob.linear import (
     CapExceeded,
     Infeasible,
@@ -18,6 +20,7 @@ from omlprob.linear import (
     Unbounded,
     enumerate_vertices,
     functional_on,
+    max_value,
     maximize,
     propagate_unit_box,
     satisfies,
@@ -27,6 +30,7 @@ from omlprob.linear import (
 from omlprob.states import state_system
 import fraction_checker
 import fraction_elimination as reference
+import int_row_reference
 
 F = Fraction
 
@@ -79,6 +83,8 @@ def test_unbounded_detected():
     sb.add_ineq({"x": -1}, 0)  # x >= 0 only
     with pytest.raises(Unbounded):
         maximize(sb.build(), {"x": 1})
+    with pytest.raises(Unbounded):
+        max_value(sb.build(), {"x": 1})
 
 
 def test_exact_fractions_survive():
@@ -312,6 +318,8 @@ def test_maximize_matches_vertex_oracle(lp):
     if not verts:  # a bounded empty system
         with pytest.raises(Infeasible):
             maximize(sys, obj)
+        with pytest.raises(Infeasible):
+            max_value(sys, obj)
         assert solve(sys).status == "empty"
         return
 
@@ -320,6 +328,7 @@ def test_maximize_matches_vertex_oracle(lp):
 
     val, point = maximize(sys, obj)
     assert val == max(map(value, verts))
+    assert max_value(sys, obj) == val
     assert satisfies(sys, point)
     assert value(point) == val
     assert maximize(sys, {k: c for k, c in obj.items() if c}) == (val, point)
@@ -725,3 +734,56 @@ def test_integer_checker_matches_fraction_loop(case):
     assert got == fraction_checker.first_violation(rows, values.__getitem__)
     if got is not None:
         assert all(type(side) is F for side in got[2:])
+
+
+# -- int rows against the Fraction rows they replaced ---------------------
+
+
+# ints, Fractions (some whole), and the other values Fraction() takes
+COEFFS = st.one_of(
+    st.integers(-6, 6),
+    st.builds(F, st.integers(-6, 6), st.integers(1, 4)),
+    st.sampled_from((True, 0.5, -0.25, "2/3", "-3", Decimal("1.5"))))
+
+
+@st.composite
+def named_terms(draw):
+    """(name, coeff) terms over up to four names, with names repeated
+    and pairs c, -c put in, so that a name's terms may cancel to 0; and
+    an int or Fraction rhs."""
+    name = st.sampled_from("abcd")
+    terms = draw(st.lists(st.tuples(name, COEFFS), max_size=6))
+    for _ in range(draw(st.integers(0, 2))):
+        c = draw(st.one_of(st.integers(-6, 6),
+                           st.builds(F, st.integers(-6, 6),
+                                     st.integers(1, 4))))
+        terms.insert(draw(st.integers(0, len(terms))), (draw(name), c))
+        terms.insert(draw(st.integers(0, len(terms))), (terms[-1][0], -c))
+    rhs = draw(st.one_of(st.integers(-6, 6),
+                         st.builds(F, st.integers(-6, 6), st.integers(1, 4))))
+    return terms, rhs
+
+
+@settings(max_examples=300, deadline=None)
+@given(named_terms())
+def test_int_row_matches_fraction_row(case):
+    terms, rhs = case
+    index = {v: i for i, v in enumerate("dcba")}
+    got = linear._int_row(index, terms, rhs)
+    assert got == int_row_reference.int_row(index, terms, rhs)
+    scale, row, b = got
+    assert all(type(x) is int for x in (scale, b, *itertools.chain(*row)))
+
+
+@pytest.mark.parametrize("l", [lattice.mo(2), lattice.boolean_algebra(3)],
+                         ids=["MO(2)", "2^3"])
+@pytest.mark.parametrize("system", [
+    state_system, smap_system, jmap_system, dmap_system,
+    lambda l: gmap_system(l, (0, 0, 1, 1)),
+    lambda l: _smap_system_with_pseudometric(l, smap_system(l)),
+], ids=["state", "s", "j", "d", "g0011", "s-pseudometric"])
+def test_system_rows_are_ints(system, l):
+    sys = system(l)
+    for terms, rhs in sys.eqs + sys.ineqs:
+        assert type(rhs) is int
+        assert all(type(j) is int and type(c) is int for j, c in terms)

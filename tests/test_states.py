@@ -70,6 +70,20 @@ def test_from_vector_rejects_a_wrong_length(mo2):
             StateFn.from_vector(mo2, [0] * size)
 
 
+def test_validate_state_rejects_a_dict_off_the_elements(mo2):
+    # a missing element once raised KeyError, and an extra key, even
+    # one outside [0, 1], once passed unseen
+    witness = dict(zip(mo2.elements, classify_states(mo2).polytope.witness))
+    assert is_state(mo2, StateFn(witness))
+    for values in ({x: 0 for x in mo2.elements[:-1]},
+                   {**witness, "zz": 5},
+                   dict(reversed(witness.items()))):
+        with pytest.raises(StateError, match="state is not total on L in "
+                                             "element order"):
+            validate_state(mo2, StateFn(values))
+        assert not is_state(mo2, StateFn(values))
+
+
 def test_state_json_round_trip(mo2):
     m = StateFn.from_dict(mo2, {
         "0": 0, "a": F(1, 3), "a'": F(2, 3),
