@@ -7,12 +7,12 @@ certificate); "violated" comes with a witness assignment that
 re-evaluates to a violation under exact arithmetic.  All searches run
 in a fixed deterministic order (element order, then lexicographic).
 Every system here is built from lattice operations alone, so a Bell
-target or Jauch-Piron pair is solved only when it comes first in its
-Aut(L) orbit; a reported one is the first to attain its value, so it
-comes first in its orbit too.  The searches compare optimum values
-alone (max_value); a violated verdict's LP is solved again, once, by
-maximize for the witness: the same Polytope and objective give the
-same argmax.
+target, a Jauch-Piron pair (states) or element (s-maps) is solved only
+when it comes first in its Aut(L) orbit; a reported one is the first to
+attain its value, so it comes first in its orbit too.  The searches
+compare optimum values alone (max_value); a violated verdict's LP is
+solved again, once, by maximize for the witness: the same Polytope and
+objective give the same argmax.
 """
 
 from __future__ import annotations
@@ -203,10 +203,8 @@ def _smap_pair_witness(l: Oml, sys: Polytope, a: str, b: str):
     p(a,a) = p(b,b) = 1, breaks the addendum; None when it keeps it.
     Each question is whether x - y or y - x can be positive on sys, for
     x = p(a,c) or p(c,a) and y = p(c,c): settled by the affine hull when
-    the functional is constant there, else by max_value.  The conclusion
-    p(a,b) = 1 needs no question: pair (a,a) or one of its orbit came
-    first, and its addendum at c = b made p(a,b) = p(b,b) under
-    p(a,a) = 1.  Raises Infeasible when sys is empty."""
+    the functional is constant there, else by max_value.  Raises
+    Infeasible when sys is empty."""
     pair = "%s,%s" % (a, b)
     questions = [((x, y), {x: s, y: -s}) for c in l.elements
                  for x, y in ((pair_var(a, c), pair_var(c, c)),
@@ -227,25 +225,26 @@ def jauch_piron_smap(l: Oml) -> PropertyVerdict:
     """p(a,a) = p(b,b) = 1  =>  p(a,b) = 1, plus the addendum that the
     premise forces p(a,c) = p(c,a) = p(c,c) for every c.
 
-    Per premise pair, exact bound propagation over the axiom equalities
-    pins what the premise forces (as the hand proof runs) or proves it
-    infeasible.  The s-map system with those pins answers every question
-    of the pair; when it is empty the implication is vacuous.  Of each
-    Aut(l) orbit only the first pair with a no later than b is asked;
-    the swap (b, a) is no symmetry here, as the addendum asks about a.
+    Every question is about a alone, so one premise p(a,a) = 1 per
+    element decides them all: the s-maps with p(a,a) = p(b,b) = 1 are
+    among those with p(a,a) = 1, and pair (a,b) asks the addendum
+    questions of a, so a violation at (a,b) is one at (a,a), which comes
+    first in product order.  The conclusion p(a,b) = 1 is the addendum
+    at c = b with p(b,b) = 1.  Per element, exact bound propagation over
+    the axiom equalities pins what the premise forces (as the hand proof
+    runs) or proves it infeasible; the s-map system with those pins
+    answers every question, and when it is empty the implication is
+    vacuous.  Only the first element of each Aut(l) orbit is asked.
     """
-    base = smap_system(l)
-    n, reps, asked = len(l.elements), tuple_orbits(l, 2), set()
-    for code, (a, b) in enumerate(l.pairs()):
-        if code // n > code % n or reps[code] in asked:
+    base, reps = smap_system(l), tuple_orbits(l, 1)
+    for i, a in enumerate(l.elements):
+        if reps[i] != i:
             continue
-        asked.add(reps[code])
-        known = propagate_unit_box(base, {pair_var(a, a): 1,
-                                          pair_var(b, b): 1})
+        known = propagate_unit_box(base, {pair_var(a, a): 1})
         if known is None:
             continue  # premise proven infeasible
         try:
-            witness = _smap_pair_witness(l, with_premise(base, known), a, b)
+            witness = _smap_pair_witness(l, with_premise(base, known), a, a)
         except Infeasible:
             continue  # premise infeasible, implication vacuous
         if witness is not None:

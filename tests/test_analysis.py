@@ -17,7 +17,8 @@ from omlprob.analysis import (
 )
 from omlprob.bimaps import (BiMap, _axiom_rows, derive_d_from_s, pair_var,
                             smap_system)
-from omlprob.linear import (SystemBuilder, enumerate_vertices, maximize,
+from omlprob.linear import (Infeasible, SystemBuilder, enumerate_vertices,
+                            functional_on, maximize, propagate_unit_box,
                             satisfies, with_premise)
 from omlprob.states import StateFn, validate_state
 from fraction_elimination import rational_form
@@ -185,6 +186,25 @@ def test_jauch_piron_smap_gap_is_positive(b1, monkeypatch):
     assert v.witness == {"pair": "1,1", "addendum": "1|0 != 0|0",
                          "gap": "1/2"}
     assert_addendum_witness(sys, v.witness, "1/2")
+
+
+def test_jauch_piron_smap_vacuous_when_elimination_refutes(b1, monkeypatch):
+    # propagation refutes p(0,0) = 1 at the row 0|0 = 0; p(1,1) = 1
+    # leaves 0|1 + 1|0 = 1 against 2 0|1 + 2 1|0 = 1, which no interval
+    # rule pins and elimination refutes: both premises are empty
+    sb = SystemBuilder([pair_var(a, b) for a, b in b1.pairs()])
+    for name in sb.vars:
+        sb.add_box(name)
+    sb.add_eq({"0|0": 1}, 0)
+    sb.add_eq({"0|1": 1, "1|0": 1, "1|1": -1}, 0)
+    sb.add_eq({"0|1": 2, "1|0": 2}, 1)
+    sys = sb.build()
+    monkeypatch.setattr(analysis, "smap_system", lambda _l: sys)
+    assert propagate_unit_box(sys, {"0|0": 1}) is None
+    assert propagate_unit_box(sys, {"1|1": 1}) is not None
+    with pytest.raises(Infeasible):
+        functional_on(with_premise(sys, {"1|1": 1}), {"0|1": 1})
+    assert jauch_piron_smap(b1).verdict == "implied"
 
 
 # -- pseudometric --------------------------------------------------------

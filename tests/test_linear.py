@@ -134,6 +134,23 @@ def test_implicit_equality_lowers_dim():
     assert tuple(info.witness) == (F(0), F(0))
 
 
+@pytest.mark.parametrize("x_first", [True, False], ids=["x-first", "y-first"])
+def test_solve_unbounded_below_gives_the_start_vertex(x_first):
+    # x >= 0 with no upper bound, y in [0,1]: -x has no minimum, so the
+    # witness is the start vertex, not a mean of the other minimisers
+    sb = SystemBuilder(["x", "y"])
+    if x_first:
+        sb.add_ineq({"x": -1}, 0)
+    sb.add_box("y")
+    if not x_first:
+        sb.add_ineq({"x": -1}, 0)
+    sys = sb.build()
+    info = solve(sys)
+    assert info.status == "positive-dimensional"
+    assert info.dim == 2
+    assert tuple(info.witness) == sys.start.point() == (0, 1)
+
+
 # -- vertex enumeration [DERIVED: geometry known in closed form] ---------
 
 
@@ -483,13 +500,25 @@ def rescan_propagate(sys, seed):
                             lattice.boolean_algebra(2)]),
 ], ids=["2^2", "2^3", "MO(2)", "MO(3)", "HS3"])
 def test_worklist_propagation_matches_rescan(l):
-    # every premise seed jauch_piron_smap propagates
+    # a superset of the seeds jauch_piron_smap propagates
     base = smap_system(l)
     for i, a in enumerate(l.elements):
         for b in l.elements[i:]:
             seed = {pair_var(a, a): F(1), pair_var(b, b): F(1)}
             assert (propagate_unit_box(base, seed)
                     == rescan_propagate(base, seed)), (a, b)
+
+
+def test_propagation_pins_at_the_interval_minimum():
+    # x - y - z = -2 on the unit box: the residual -2 is the row's least
+    # value, reached only at x = 0, y = z = 1
+    sb = SystemBuilder(["x", "y", "z"])
+    for name in sb.vars:
+        sb.add_box(name)
+    sb.add_eq({"x": 1, "y": -1, "z": -1}, -2)
+    sys = sb.build()
+    assert (propagate_unit_box(sys, {}) == rescan_propagate(sys, {})
+            == {"x": 0, "y": 1, "z": 1})
 
 
 # -- the basis walk against the subset enumeration it replaced -----------

@@ -259,7 +259,12 @@ def test_bell_matches_all_targets(monkeypatch, prop, name, l):
     assert orbitwise == _payload(_BELL[prop](l))
 
 
-@pytest.mark.parametrize("name,l", _SMALL, ids=[n for n, _ in _SMALL])
+# 12-element inputs for the Jauch-Piron references alone: _SMALL also
+# feeds the all-targets Bell loops
+_JP = _SMALL + [("HS3", _hs3()), ("pasting-two", _pasting(TWO))]
+
+
+@pytest.mark.parametrize("name,l", _JP, ids=[n for n, _ in _JP])
 def test_jauch_piron_matches_all_pairs(name, l):
     assert (_payload(analysis.jauch_piron_state(l))
             == _payload(_jauch_piron_state_all(l)))
@@ -279,7 +284,7 @@ def _weakened(axioms):
     return build
 
 
-@pytest.mark.parametrize("name,l", _SMALL[3:], ids=[n for n, _ in _SMALL[3:]])
+@pytest.mark.parametrize("name,l", _JP[3:], ids=[n for n, _ in _JP[3:]])
 @pytest.mark.parametrize("axioms", [("s1", "s2"), ("s1", "s3")],
                          ids=["s1+s2", "s1+s3"])
 def test_jauch_piron_smap_witness_matches_all_pairs(monkeypatch, name, l,
