@@ -202,22 +202,23 @@ def _smap_pair_witness(l: Oml, sys: Polytope, a: str, b: str):
     """The first witness that sys, the s-map system under the premise
     p(a,a) = p(b,b) = 1, breaks the addendum; None when it keeps it.
     Each question is whether x - y or y - x can be positive on sys, for
-    x = p(a,c) or p(c,a) and y = p(c,c): settled by the affine hull when
-    the functional is constant there, else by max_value.  Raises
-    Infeasible when sys is empty."""
+    x = p(a,c) or p(c,a) and y = p(c,c): x - y is written on the affine
+    hull once, which settles each sign when it is constant there, else
+    max_value does.  Raises Infeasible when sys is empty."""
     pair = "%s,%s" % (a, b)
-    questions = [((x, y), {x: s, y: -s}) for c in l.elements
-                 for x, y in ((pair_var(a, c), pair_var(c, c)),
-                              (pair_var(c, a), pair_var(c, c))) if x != y
-                 for s in (1, -1)]
-    for addendum, coeffs in questions:
-        base, obj = functional_on(sys, coeffs)
-        if not obj and base <= 0:
-            continue
-        val = max_value(sys, coeffs)
-        if val > 0:
-            return {"pair": pair, "addendum": "%s != %s" % addendum,
-                    "gap": fmt_rat(val)}
+    for c in l.elements:
+        for x, y in ((pair_var(a, c), pair_var(c, c)),
+                     (pair_var(c, a), pair_var(c, c))):
+            if x == y:
+                continue
+            base, obj = functional_on(sys, {x: 1, y: -1})
+            for s in (1, -1):
+                if not obj and s * base <= 0:
+                    continue
+                val = max_value(sys, {x: s, y: -s})
+                if val > 0:
+                    return {"pair": pair, "addendum": "%s != %s" % (x, y),
+                            "gap": fmt_rat(val)}
     return None
 
 
@@ -291,7 +292,7 @@ class SweepReport:
                 "vertex_index": self.vertex_index,
                 "violated_axiom": self.violation.violated_axiom,
                 "witness_elements": list(self.violation.witness),
-                "d_p": {"%s|%s" % p: fmt_rat(v)
+                "d_p": {pair_var(*p): fmt_rat(v)
                         for p, v in derive_d_from_s(self.smap).values.items()},
             })
         return out

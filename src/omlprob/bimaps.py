@@ -90,8 +90,8 @@ class BiMap:
     def to_json(self, lattice_path: str = "") -> str:
         return json.dumps(
             {"lattice": lattice_path,
-             "values": {"%s|%s" % (a, b): fmt_rat(v)
-                        for (a, b), v in self.values.items()}},
+             "values": {pair_var(*p): fmt_rat(v)
+                        for p, v in self.values.items()}},
             indent=2)
 
 

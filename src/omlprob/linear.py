@@ -12,9 +12,11 @@ coefficients as ints, so they never become Fractions.  On first use
 a system is reduced, once, by fraction-free Gaussian elimination on
 the equalities to x = (x0 + N t) / den, so optimization and vertex
 enumeration happen in the (usually much smaller) space t of the
-remaining free directions.  with_premise pins variables (x_name = v)
-by restricting the parent's reduction inside that t-space, with the
-reduction a from-scratch elimination would give.
+remaining free directions.  N holds one sparse row of t-terms per
+variable, in the same terms form as every row.  with_premise pins
+variables (x_name = v) by that elimination run on the pins in the
+parent's t-space, then one substitution per row of N: the reduction
+a from-scratch elimination would give.
 
 Optimization is a vertex simplex in t-space: its basis is d rows
 tight at the current vertex, whose d x d inverse a pivot updates by
@@ -252,13 +254,15 @@ def _eliminate(row, prow, p):
 def _solve_eqs(eqs, n):
     """x = (x0 + N t) / den for the (terms, rhs) rows over n variables.
 
-    Returns (den, x0, basis) with basis the columns of N, one per free
-    variable, or None when the rows are inconsistent.  Gauss-Jordan on
-    integers: a row is cleared in the pivot columns it meets, its least
-    column becomes a pivot (positive), and that column is cleared in
-    the other pivot rows, so they stay the reduced row echelon form up
-    to positive scaling.  Rows are kept primitive, so gcd(den, x0, N) is
-    1 and the result is that of rational elimination, canonically.
+    Returns (den, x0, N, d) with t_k the k-th of the d free variables
+    and N[j] x_j's sparse row of t-terms, or None when the rows are
+    inconsistent.  Gauss-Jordan on integers: a row is cleared in the
+    pivot columns it meets, its least column becomes a pivot (positive),
+    and that column is cleared in the other pivot rows, so they stay the
+    reduced row echelon form up to positive scaling: a pivot's row in N
+    holds its entries on free columns, free variable k's is ((k, den),).
+    Rows are kept primitive, so gcd(den, x0, N) is 1 and the result is
+    that of rational elimination, canonically.
     """
     pivots = {}  # pivot column: its row, with the rhs in column n
     for terms, rhs in eqs:
@@ -280,64 +284,59 @@ def _solve_eqs(eqs, n):
                 pivots[q] = _eliminate(other, row, p)
         pivots[p] = row
     den = math.lcm(*(row[p] for p, row in pivots.items()))
+    free = {f: k for k, f in enumerate(f for f in range(n) if f not in pivots)}
     # pivot row p reads x_p = (rhs - sum row[f] x_f) / row[p] over free f
-    x0 = tuple(pivots[j].get(n, 0) * (den // pivots[j][j])
-               if j in pivots else 0 for j in range(n))
-    basis = tuple(tuple(-pivots[j].get(f, 0) * (den // pivots[j][j])
-                        if j in pivots else den * (j == f) for j in range(n))
-                  for f in range(n) if f not in pivots)
-    return den, x0, basis
+    x0, N = [0] * n, [((free[j], den),) if j in free else () for j in range(n)]
+    for p, row in pivots.items():
+        s = den // row[p]
+        x0[p] = row.get(n, 0) * s
+        N[p] = tuple(sorted((free[f], -c * s) for f, c in row.items()
+                            if f in free))
+    return den, tuple(x0), tuple(N), len(free)
 
 
 class _Reduction(NamedTuple):
-    """Equality-eliminated form: x = (x0 + N t) / den, with the
-    inequalities as rows (terms, rhs), terms . t <= rhs.  basis holds
-    the columns of N, one per free variable, and gcd(den, x0, N) = 1.
-    Each row is divided by the gcd of its terms and rhs; parallel
-    same-direction rows keep the tightest at the first one's position,
-    and all-zero rows are dropped."""
+    """Equality-eliminated form: x = (x0 + N t) / den over d free
+    variables t, with the inequalities as rows (terms, rhs), terms . t
+    <= rhs.  N[j] is x_j's row of t-terms, in the terms form of every
+    row, and gcd(den, x0, N) = 1.  Each row is divided by the gcd of
+    its terms and rhs; parallel same-direction rows keep the tightest
+    at the first one's position, and all-zero rows are dropped."""
 
     den: int
     x0: tuple
-    basis: tuple
+    N: tuple
+    d: int
     rows: tuple
 
 
-def _substitute(terms, x0, basis):
-    """terms . x as const + obj . t, where x = x0 + N t and basis holds
-    the columns of N; returns (const, obj terms)."""
-    return _dot(terms, x0), tuple(
-        (k, v) for k, col in enumerate(basis) if (v := _dot(terms, col)))
+def _substitute(terms, x0, N):
+    """terms . x as const + obj . t, where x = x0 + N t: the sum of the
+    rows c N[j] for (j, c) in terms; returns (const, obj terms)."""
+    obj = {}
+    for j, c in terms:
+        for k, v in N[j]:
+            obj[k] = obj.get(k, 0) + c * v
+    return _dot(terms, x0), tuple(sorted((k, v) for k, v in obj.items() if v))
 
 
-def _project(rows, den, x0, basis):
+def _project(rows, den, x0, N):
     """Rows terms . x <= rhs over x = (x0 + N t) / den, as the rows
     obj . t <= den rhs - const over t (see _substitute)."""
     for terms, rhs in rows:
-        const, obj = _substitute(terms, x0, basis)
+        const, obj = _substitute(terms, x0, N)
         yield obj, den * rhs - const
-
-
-def _combine(x0, basis, t):
-    """x0 + N t, with basis = the columns of N."""
-    x = list(x0)
-    for tk, col in zip(t, basis):
-        if tk:
-            for j, v in enumerate(col):
-                if v:
-                    x[j] += tk * v
-    return x
 
 
 def _lift(red, t):
     """The point x = (x0 + N t) / den of red, at the rational t."""
     scale = math.lcm(*(tk.denominator for tk in t))
-    x = _combine([scale * v for v in red.x0], red.basis,
-                 [tk.numerator * (scale // tk.denominator) for tk in t])
-    return tuple(Fraction(v, scale * red.den) for v in x)
+    T = [tk.numerator * (scale // tk.denominator) for tk in t]
+    return tuple(Fraction(scale * v + _dot(row, T), scale * red.den)
+                 for v, row in zip(red.x0, red.N))
 
 
-def _with_rows(den, x0, basis, rows):
+def _with_rows(den, x0, N, d, rows):
     """The _Reduction with t-space rows (terms, rhs), deduplicated by
     their direction terms / gcd(terms); None when a row reduces to
     0 <= negative."""
@@ -355,7 +354,7 @@ def _with_rows(den, x0, basis, rows):
     for key, (b, g) in seen.items():
         h = math.gcd(g, b)
         out.append((tuple((j, c * (g // h)) for j, c in key), b // h))
-    return _Reduction(den, x0, basis, tuple(out))
+    return _Reduction(den, x0, N, d, tuple(out))
 
 
 def _reduce(eqs, ineqs, n):
@@ -363,33 +362,33 @@ def _reduce(eqs, ineqs, n):
     shows the system empty."""
     solved = _solve_eqs(eqs, n)
     return None if solved is None else _with_rows(
-        *solved, _project(ineqs, *solved))
+        *solved, _project(ineqs, *solved[:3]))
 
 
 def _restrict(red, pins):
     """red plus the pins {j: v}, each x_j = v, eliminated in red's
-    t-space.  A pin is the row N[j] . t = den v - x0[j], made integer;
-    t = (t0 + M u) / e solves those rows, so x = (e x0 + N t0 + N M u) /
-    (e den), and each row r . t <= b becomes (r M) . u <= e b - r . t0.
+    t-space.  A pin is the row N[j] . t = den v - x0[j], made integer,
+    and _reduce on those rows and red's rows gives t = (t0 + M u) / e
+    with the rows over u.  Substituting it in each row of N gives x =
+    (e x0 + N t0 + N M u) / (e den).
 
     The free variables are those a from-scratch elimination picks, so
     den, x0, N, rows and row order all equal its result.
     """
     if red is None:
         return None
-    solved = _solve_eqs([(tuple((k, col[j] * v.denominator)
-                                for k, col in enumerate(red.basis) if col[j]),
-                          red.den * v.numerator - red.x0[j] * v.denominator)
-                         for j, v in pins.items()], len(red.basis))
-    if solved is None:
+    inner = _reduce([(tuple((k, c * v.denominator) for k, c in red.N[j]),
+                      red.den * v.numerator - red.x0[j] * v.denominator)
+                     for j, v in pins.items()], red.rows, red.d)
+    if inner is None:
         return None
-    e, t0, M = solved
-    x0 = _combine([e * v for v in red.x0], red.basis, t0)
-    basis = [_combine([0] * len(x0), red.basis, m) for m in M]
-    g = math.gcd(e * red.den, *x0, *(v for col in basis for v in col))
-    return _with_rows(e * red.den // g, tuple(v // g for v in x0),
-                      tuple(tuple(v // g for v in col) for col in basis),
-                      _project(red.rows, e, t0, M))
+    subs = [_substitute(row, inner.x0, inner.N) for row in red.N]
+    x0 = [inner.den * v + const for v, (const, _row) in zip(red.x0, subs)]
+    g = math.gcd(inner.den * red.den, *x0,
+                 *(c for _const, row in subs for _k, c in row))
+    return inner._replace(
+        den=inner.den * red.den // g, x0=tuple(v // g for v in x0),
+        N=tuple(tuple((k, c // g) for k, c in row) for _const, row in subs))
 
 
 def propagate_unit_box(sys: Polytope, seed: dict):
@@ -460,7 +459,7 @@ def _objective(sys, coeffs):
     if red is None:
         raise Infeasible()
     scale, terms, _rhs = _int_row(sys.index, coeffs.items())
-    return (scale * red.den,) + _substitute(terms, red.x0, red.basis)
+    return (scale * red.den,) + _substitute(terms, red.x0, red.N)
 
 
 def functional_on(sys: Polytope, coeffs: dict):
@@ -508,7 +507,7 @@ class _Basis:
     """
 
     def __init__(self, red: _Reduction):
-        d = len(red.basis)
+        d = red.d
         self.terms = [terms for terms, _b in red.rows]
         self.basis = [None] * d
         self.det = 1
@@ -651,8 +650,8 @@ def solve(sys: Polytope) -> PolyInfo:
             tight.append((terms, b))
         elif points is not None:
             points.append(opt.point())
-    d = len(red.basis)
-    dim = len(_solve_eqs(tight, d)[2])  # the free directions they leave
+    d = red.d
+    dim = _solve_eqs(tight, d)[3]  # the free directions they leave
     if points:
         k = Fraction(1, len(points))
         witness_t = tuple(sum(p[j] for p in points) * k for j in range(d))

@@ -150,16 +150,20 @@ def dense(terms, n):
 
 def rational_form(red):
     """An integer linear._Reduction as the Reduction above: x0 / den,
-    N / den, and each row and rhs over the absolute value of its lead."""
+    N / den with N's rows turned into columns, and each row and rhs over
+    the absolute value of its lead."""
     if red is None:
         return None
-    d = len(red.basis)
     rows, rhs = [], []
     for terms, b in red.rows:
         lead = abs(terms[0][1])
-        rows.append(tuple(Fraction(c, lead) for c in dense(terms, d)))
+        rows.append(tuple(Fraction(c, lead) for c in dense(terms, red.d)))
         rhs.append(Fraction(b, lead))
+    cols = [[0] * len(red.x0) for _k in range(red.d)]
+    for j, row in enumerate(red.N):
+        for k, c in row:
+            cols[k][j] = c
     return Reduction(tuple(Fraction(x, red.den) for x in red.x0),
                      tuple(tuple(Fraction(v, red.den) for v in col)
-                           for col in red.basis),
+                           for col in cols),
                      tuple(rows), tuple(rhs))

@@ -221,6 +221,18 @@ def test_with_premise_matches_direct_build():
             assert red is not None and red.rows
             assert red == direct_build(sys).reduced
 
+    # a premise p(a,a) = 1 propagated, as jauch_piron_smap pins it: 86
+    # pins take MO(8)'s d from 64 to 49, 184 take 2^3+2^3+2^3's 30 to 12
+    hs333 = lattice.horizontal_sum([lattice.boolean_algebra(3)] * 3)
+    for l, a, pinned, d in ((lattice.mo(8), "a", 86, 49),
+                            (hs333, "a#0", 184, 12)):
+        base = smap_system(l)
+        known = propagate_unit_box(base, {pair_var(a, a): 1})
+        assert len(known) == pinned
+        sys = with_premise(base, known)
+        assert sys.reduced.d == d
+        assert sys.reduced == direct_build(sys).reduced
+
     # random pins on the HS3 s-map system, two generations deep: pins
     # at a vertex keep it nonempty, and a stray value (thirds too) may
     # empty it, in elimination or only in phase 1
@@ -357,7 +369,7 @@ def test_maximize_matches_vertex_oracle(lp):
     values = set(map(value, verts))
     if not terms:
         assert values == {const}
-    elif solve(sys).dim == len(sys.reduced.basis):
+    elif solve(sys).dim == sys.reduced.d:
         assert len(values) > 1
 
 
@@ -668,15 +680,13 @@ def rational_systems(draw):
     return n, eqs, ineqs, pins
 
 
-def pivot_columns(n, den, basis):
-    """The pivots of an integer elimination: all columns but the free
-    ones, where column k of N belongs to the last x_j that is t_k alone
-    (a pivot x_p = t_k has p below that free column)."""
-    free = {max(j for j in range(n)
-                if all(col[j] == den * (i == k)
-                       for i, col in enumerate(basis)))
-            for k in range(len(basis))}
-    return [j for j in range(n) if j not in free]
+def pivot_columns(den, N, d):
+    """The pivots of an integer elimination: all variables but the free
+    ones, where t_k belongs to the last x_j that is t_k alone (a pivot
+    x_p = t_k has p below that free variable)."""
+    free = {max(j for j, row in enumerate(N)
+                if row == ((k, den),)) for k in range(d)}
+    return [j for j in range(len(N)) if j not in free]
 
 
 @settings(max_examples=300, deadline=None)
@@ -698,11 +708,13 @@ def test_integer_elimination_matches_fraction_elimination(system):
     solved, ref = linear._solve_eqs(sys.eqs, n), reference.solve_eqs(eqs, n)
     assert (solved is None) == (ref is None)
     if ref is not None:
-        den, x0, basis = solved
-        assert den > 0 and math.gcd(den, *x0, *itertools.chain(*basis)) == 1
-        assert pivot_columns(n, den, basis) == ref[2]
+        den, x0, N, d = solved
+        assert den > 0 and math.gcd(
+            den, *x0, *(c for row in N for _k, c in row)) == 1
+        assert pivot_columns(den, N, d) == ref[2]
         assert tuple(F(x, den) for x in x0) == ref[0]
-        assert tuple(tuple(F(v, den) for v in col) for col in basis) == ref[1]
+        assert tuple(tuple(F(dict(row).get(k, 0), den) for row in N)
+                     for k in range(d)) == ref[1]
 
     red = reference.reduce(eqs, ineqs, n)
     restricted = with_premise(
@@ -711,8 +723,13 @@ def test_integer_elimination_matches_fraction_elimination(system):
     assert reference.rational_form(restricted) == reference.restrict(red, pins)
     for got in (sys.reduced, restricted):  # canonical integers
         if got is not None:
-            entries = itertools.chain(got.x0, *got.basis)
-            assert math.gcd(got.den, *entries) == 1
+            entries = [c for row in got.N for _k, c in row]
+            assert math.gcd(got.den, *got.x0, *entries) == 1
+            for row in got.N:  # N's rows in the one row form
+                assert all(type(c) is int and c for _k, c in row)
+                assert [k for k, _c in row] == sorted({k for k, _c in row})
+            assert len({row for row in got.N
+                        if len(row) == 1 and row[0][1] == got.den}) == got.d
             for terms, b in got.rows:
                 assert math.gcd(b, *(c for _j, c in terms)) == 1
 
