@@ -24,11 +24,14 @@ rank one, in O(m.d), with no tableau or slack columns.  A dual simplex
 with zero objective finds one start vertex per Polytope (or proves it
 empty), and the Polytope keeps it; each objective runs the primal
 simplex from that vertex, so no result depends on earlier calls.
-max_value returns the optimum alone; maximize also lifts the maximizer
-back to x.  Both phases use Bland's rule and terminate.  Vertex
-enumeration walks the bases those pivots reach from the start vertex:
-from each basis, each slot relaxes and Bland's entering row takes its
-place.  The module keeps no state between calls.
+max_values returns the optima alone for a list of objectives: as an
+objective's optimum is (const + max obj . t) / q, one call runs the
+simplex once per distinct reduced obj among them, each run from that
+vertex too.  max_value is its one-objective case; maximize also lifts
+the maximizer back to x.  Both phases use Bland's rule and terminate.
+Vertex enumeration walks the bases those pivots reach from the start
+vertex: from each basis, each slot relaxes and Bland's entering row
+takes its place.  The module keeps no state between calls.
 
 Intended for desk-scale instances (tens of variables); see the module
 users for the size discipline.
@@ -265,7 +268,7 @@ def _solve_eqs(eqs, n):
     that of rational elimination, canonically.
     """
     pivots = {}  # pivot column: its row, with the rhs in column n
-    for terms, rhs in eqs:
+    for terms, rhs in dict.fromkeys(eqs):  # each distinct row once
         row = dict(terms)
         if rhs:
             row[n] = rhs
@@ -698,17 +701,27 @@ def enumerate_vertices(sys: Polytope, cap: int = 10000):
     return sorted(_lift(red, t) for t in found)
 
 
-def _optimum(sys: Polytope, coeffs: dict):
-    """maximize's value, and the _Basis where the simplex reached it."""
-    q, const, obj = _objective(sys, coeffs)
-    val, b = _max_t(sys.start, obj)
-    return (const + val) / q, b
+def max_values(sys: Polytope, objectives):
+    """maximize's value for each {name: coeff} objective, in order, with
+    no argmax lifted back to x; raises as maximize does.
+
+    An objective's maximum is (const + max obj . t) / q, so the simplex
+    runs once per distinct reduced obj among them.  Each run starts
+    from sys.start: no value depends on the rest of the list.
+    """
+    found = {}  # reduced obj: max obj . t
+    out = []
+    for coeffs in objectives:
+        q, const, obj = _objective(sys, coeffs)
+        if obj not in found:
+            found[obj] = _max_t(sys.start, obj)[0]
+        out.append((const + found[obj]) / q)
+    return out
 
 
 def max_value(sys: Polytope, coeffs: dict):
-    """maximize's value alone, with no argmax lifted back to x; raises
-    as maximize does."""
-    return _optimum(sys, coeffs)[0]
+    """max_values for the one objective coeffs."""
+    return max_values(sys, [coeffs])[0]
 
 
 def maximize(sys: Polytope, coeffs: dict):
@@ -719,5 +732,6 @@ def maximize(sys: Polytope, coeffs: dict):
     Raises Infeasible on an empty system, Unbounded when the objective
     is unbounded above.
     """
-    val, b = _optimum(sys, coeffs)
-    return val, _lift(sys.reduced, b.point())
+    q, const, obj = _objective(sys, coeffs)
+    val, b = _max_t(sys.start, obj)
+    return (const + val) / q, _lift(sys.reduced, b.point())

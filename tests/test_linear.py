@@ -21,6 +21,7 @@ from omlprob.linear import (
     enumerate_vertices,
     functional_on,
     max_value,
+    max_values,
     maximize,
     propagate_unit_box,
     satisfies,
@@ -76,6 +77,8 @@ def test_infeasible_detected():
     sb.add_box("x")
     with pytest.raises(Infeasible):
         maximize(sb.build(), {"x": 1})
+    with pytest.raises(Infeasible):
+        max_values(sb.build(), [{"x": 1}])
 
 
 def test_unbounded_detected():
@@ -85,6 +88,12 @@ def test_unbounded_detected():
         maximize(sb.build(), {"x": 1})
     with pytest.raises(Unbounded):
         max_value(sb.build(), {"x": 1})
+    with pytest.raises(Unbounded):  # after a bounded one
+        max_values(sb.build(), [{"x": -1}, {"x": 1}])
+
+
+def test_max_values_of_no_objectives():
+    assert max_values(unit_square(), []) == []
 
 
 def test_exact_fractions_survive():
@@ -330,17 +339,21 @@ def boxed_lps(draw):
     return n, rows, eqs, obj
 
 
-@settings(max_examples=300, deadline=None)
-@given(boxed_lps())
-def test_maximize_matches_vertex_oracle(lp):
-    n, rows, eqs, obj = lp
+def boxed_system(n, rows, eqs):
     names = ["x%d" % j for j in range(n)]
     sb = SystemBuilder(names)
     for coeffs, rhs in rows:
         sb.add_ineq(dict(zip(names, coeffs)), rhs)
     for coeffs, rhs in eqs:
         sb.add_eq(dict(zip(names, coeffs)), rhs)
-    sys = sb.build()
+    return names, sb.build()
+
+
+@settings(max_examples=300, deadline=None)
+@given(boxed_lps())
+def test_maximize_matches_vertex_oracle(lp):
+    n, rows, eqs, obj = lp
+    names, sys = boxed_system(n, rows, eqs)
     verts = brute_vertices(n, rows + [(tuple(-c for c in coeffs), -rhs)
                                       for coeffs, rhs in eqs] + eqs)
     assert set(map(tuple, enumerate_vertices(sys))) == verts
@@ -371,6 +384,26 @@ def test_maximize_matches_vertex_oracle(lp):
         assert values == {const}
     elif solve(sys).dim == sys.reduced.d:
         assert len(values) > 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(boxed_lps(), st.integers(-2, 2))
+def test_max_values_matches_max_value(lp, k):
+    n, rows, eqs, obj = lp
+    _names, sys = boxed_system(n, rows, eqs)
+    # obj plus k times the equality's left side: equal to obj in t-space
+    shifted = dict(obj)
+    for coeffs, _rhs in eqs:
+        shifted = {name: c + k * e
+                   for (name, c), e in zip(shifted.items(), coeffs)}
+    objectives = [obj, shifted, {name: -c for name, c in obj.items()},
+                  obj, {}, shifted]
+    if sys.start is None:
+        with pytest.raises(Infeasible):
+            max_values(sys, objectives)
+        return
+    assert max_values(sys, objectives) == [max_value(sys, c)
+                                           for c in objectives]
 
 
 def test_beale_cycling_example_terminates():

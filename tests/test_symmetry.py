@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from omlprob import analysis, lattice
+from omlprob import analysis, lattice, linear
 from omlprob.bimaps import _axiom_rows, pair_var
 from omlprob.lattice import automorphism_generators, tuple_orbits
 from omlprob.linear import (Infeasible, SystemBuilder, maximize,
@@ -257,6 +257,27 @@ def test_bell_matches_all_targets(monkeypatch, prop, name, l):
     orbitwise = _payload(_BELL[prop](l))
     monkeypatch.setattr(analysis, "_bell", _bell_all)
     assert orbitwise == _payload(_BELL[prop](l))
+
+
+def test_bell_runs_the_simplex_once_per_reduced_objective(monkeypatch):
+    l = _B(3)
+    reps = tuple_orbits(l, 3)
+    targets = list(itertools.product(l.elements, repeat=3))
+    solved = [code for code, rep in enumerate(reps) if rep == code]
+    assert len(solved) == 120
+    sys = state_system(l)
+    distinct = {linear._objective(sys, analysis._bell_coeffs(
+        targets[code], l.meet))[2] for code in solved}
+    runs = []
+    max_t = linear._max_t
+
+    def counted(start, obj):
+        runs.append(obj)
+        return max_t(start, obj)
+
+    monkeypatch.setattr(linear, "_max_t", counted)
+    assert analysis.bell2_state(l).verdict == "implied"  # no witness LP
+    assert sorted(runs) == sorted(distinct)
 
 
 # 12-element inputs for the Jauch-Piron references alone: _SMALL also
