@@ -96,7 +96,11 @@ class BiMap:
 
 
 def bimap_from_json(text: str, l: Oml) -> BiMap:
-    """Parse the map file format against an already-loaded lattice."""
+    """Parse the map file format against an already-loaded lattice.
+
+    A map repeats few values, so each distinct value string is parsed
+    once; any other JSON value goes to parse_rat on its own, which
+    rejects all but integers (true == 1 must not share 1's entry)."""
     data = json.loads(text)
     if not isinstance(data, dict) or set(data) - {"lattice", "values"}:
         raise BiMapError("map file must be {'lattice': ..., 'values': ...}")
@@ -104,14 +108,20 @@ def bimap_from_json(text: str, l: Oml) -> BiMap:
     if not isinstance(raw, dict):
         raise BiMapError("map file lacks a 'values' object")
     values = {}
+    parsed = {}
     elements = set(l.elements)
     for key, v in raw.items():
-        if key.count("|") != 1:
+        pair = tuple(key.split("|"))
+        if len(pair) != 2:
             raise BiMapError("bad pair key %r (expected 'a|b')" % key)
-        a, b = key.split("|")
-        if a not in elements or b not in elements:
+        if not elements.issuperset(pair):
             raise BiMapError("pair key %r names no element pair" % key)
-        values[(a, b)] = parse_rat(v)
+        if type(v) is str:
+            if v not in parsed:
+                parsed[v] = parse_rat(v)
+            values[pair] = parsed[v]
+        else:
+            values[pair] = parse_rat(v)
     try:
         return BiMap(l, {p: values[p] for p in l.pairs()})
     except KeyError as e:

@@ -1,9 +1,10 @@
 """Finite orthomodular lattices: validation, order operations, generators.
 
 Every lattice handled here is finite and explicitly enumerated (default
-bound: 64 elements).  Meets and joins are read off the order: the meet
-of a and b is the element whose down-set is down(a) & down(b), the join
-likewise from up-sets.  Blocks are generated by the sets of pairwise
+bound: 64 elements).  Down- and up-sets are int bitmasks over element
+positions.  Meets and joins are read off the order: the meet of a and b
+is the element whose down-set is down(a) & down(b), the join likewise
+from up-sets.  Blocks are generated by the sets of pairwise
 orthogonal atoms that join to 1.  The axioms, the orthomodular law and
 compatibility are checked exhaustively over those tables.
 """
@@ -210,42 +211,59 @@ def _order(elements, pairs, bot, top):
     """The reflexive-transitive closure of pairs, as the set of (x, y)
     with x <= y, and its meet and join tables.
 
-    Warshall's closure runs on down-sets: each pivot k adds down(k) to
-    every down(y) that holds k.  The lower bounds of a and b form the
-    down-closed set down(a) & down(b), which has a greatest element, the
-    meet, exactly when it is the principal down-set of some element.
-    Joins are read likewise from up-sets.
+    Down-sets are int bitmasks over element positions, bit i for
+    elements[i].  Warshall's closure runs on them: each pivot k ORs
+    down(k) into every down(y) that holds bit k.  Up-sets are the
+    transpose.  The lower bounds of a and b form the down-closed set
+    down(a) & down(b), which has a greatest element, the meet, exactly
+    when it is the down-set of some element.  Joins are read likewise
+    from up-sets.
     """
-    down = {y: {y} for y in elements}
+    n = len(elements)
+    pos = {x: i for i, x in enumerate(elements)}
+    down = [1 << i for i in range(n)]
     for x, y in pairs:
-        down[y].add(x)
-    for k in elements:
-        for y in elements:
-            if k in down[y]:
-                down[y] |= down[k]
-    up = {x: {y for y in elements if x in down[y]} for x in elements}
+        down[pos[y]] |= 1 << pos[x]
+    for k in range(n):
+        bit, dk = 1 << k, down[k]
+        down = [d | dk if d & bit else d for d in down]
+    up = [0] * n
+    leq = set()
+    for y, mask in enumerate(down):
+        while mask:
+            low = mask & -mask
+            x = low.bit_length() - 1
+            up[x] |= 1 << y
+            leq.add((elements[x], elements[y]))
+            mask ^= low
 
-    for a, b in itertools.combinations(elements, 2):
-        if a in down[b] and b in down[a]:
+    for i, a in enumerate(elements):
+        later = (down[i] & up[i]) >> (i + 1)
+        if later:
+            b = elements[i + (later & -later).bit_length()]
             raise NotALattice("order is not antisymmetric: %r and %r" % (a, b))
-    for x in elements:
-        if bot not in down[x]:
+    bot_bit, top_bit = 1 << pos[bot], 1 << pos[top]
+    for i, x in enumerate(elements):
+        if not down[i] & bot_bit:
             raise NotALattice("bot %r is not below %r" % (bot, x))
-        if top not in up[x]:
+        if not up[i] & top_bit:
             raise NotALattice("%r is not below top %r" % (x, top))
 
-    by_down = {frozenset(s): y for y, s in down.items()}
-    by_up = {frozenset(s): x for x, s in up.items()}
+    by_down = {d: y for y, d in zip(elements, down)}
+    by_up = {u: x for x, u in zip(elements, up)}
     meet_table, join_table = {}, {}
-    for a in elements:
-        for b in elements:
-            meet_table[(a, b)] = by_down.get(frozenset(down[a] & down[b]))
-            if meet_table[(a, b)] is None:
-                raise NotALattice("meet of %r and %r is not unique" % (a, b))
-            join_table[(a, b)] = by_up.get(frozenset(up[a] & up[b]))
-            if join_table[(a, b)] is None:
-                raise NotALattice("join of %r and %r is not unique" % (a, b))
-    leq = {(x, y) for y in elements for x in down[y]}
+    for a, da, ua in zip(elements, down, up):
+        meets = [by_down.get(da & d) for d in down]
+        joins = [by_up.get(ua & u) for u in up]
+        if None in meets or None in joins:
+            # the first failing b in element order, meet before join
+            j = min(r.index(None) for r in (meets, joins) if None in r)
+            b = elements[j]
+            what = "meet" if meets[j] is None else "join"
+            raise NotALattice("%s of %r and %r is not unique" % (what, a, b))
+        keys = [(a, b) for b in elements]
+        meet_table.update(zip(keys, meets))
+        join_table.update(zip(keys, joins))
     return leq, meet_table, join_table
 
 
@@ -321,22 +339,27 @@ def validate_oml(candidate: dict) -> Oml:
         if comp[comp[x]] != x:
             raise ComplementAxiom("i", "%r'' = %r != %r"
                                   % (x, comp[comp[x]], x))
-    for a in elements:
-        for b in elements:
-            if (a, b) in leq and (comp[b], comp[a]) not in leq:
-                raise ComplementAxiom(
-                    "ii", "%r <= %r but not %r <= %r" % (a, b, comp[b], comp[a]))
+    rank = {x: i for i, x in enumerate(elements)}
+
+    def first(bad):
+        # the failing pair an (a, b) scan in element order meets first
+        return min(bad, key=lambda p: (rank[p[0]], rank[p[1]]))
+
+    bad = [(a, b) for a, b in leq if (comp[b], comp[a]) not in leq]
+    if bad:
+        a, b = first(bad)
+        raise ComplementAxiom(
+            "ii", "%r <= %r but not %r <= %r" % (a, b, comp[b], comp[a]))
     for x in elements:
         if join_table[(x, comp[x])] != top:
             raise ComplementAxiom("iii", "%r v %r != top" % (x, comp[x]))
         if meet_table[(x, comp[x])] != bot:
             raise ComplementAxiom("iii", "%r ^ %r != bot" % (x, comp[x]))
 
-    for a in elements:
-        for b in elements:
-            if (a, b) in leq:
-                if join_table[(a, meet_table[(comp[a], b)])] != b:
-                    raise OrthomodularLawFailure(a, b)
+    bad = [(a, b) for a, b in leq
+           if join_table[(a, meet_table[(comp[a], b)])] != b]
+    if bad:
+        raise OrthomodularLawFailure(*first(bad))
     for x in comp:
         if x not in elem_set:
             raise ComplementAxiom("i", "comp names unknown element %r" % (x,))

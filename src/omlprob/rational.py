@@ -33,5 +33,6 @@ def as_fraction(value) -> Fraction:
 
 
 def fmt_rat(value: Fraction) -> str:
-    """Canonical text form: "p/q" in lowest terms, "p" for integers."""
-    return str(Fraction(value))
+    """Canonical text form: "p/q" in lowest terms, "p" for integers.
+    A Fraction is always in lowest terms, so it is printed as it is."""
+    return str(as_fraction(value))

@@ -43,7 +43,7 @@ from omlprob.bimaps import (
     verify_lemma_komp,
 )
 from omlprob.linear import enumerate_vertices, satisfies
-from omlprob.rational import fmt_rat
+from omlprob.rational import fmt_rat, parse_rat
 from omlprob.states import state_system, validate_state
 from fraction_elimination import dense
 
@@ -334,6 +334,61 @@ def test_bimap_rejects_unknown_pair_key():
     text = json.dumps({"lattice": "b1.json", "values": values})
     with pytest.raises(BiMapError, match=r"zz\|q"):
         bimap_from_json(text, b1)
+
+
+def _map_text(l, values):
+    """A map file on l with the given JSON values, in pair order."""
+    return json.dumps({"lattice": "l.json", "values": dict(zip(
+        ("%s|%s" % p for p in l.pairs()), values))})
+
+
+def test_bimap_reads_each_form_of_one_as_one():
+    b1 = lattice.boolean_algebra(1)
+    m = bimap_from_json(_map_text(b1, [1, "1", "1/1", " 1 "]), b1)
+    assert list(m.values.values()) == [F(1)] * 4
+    assert {type(v) for v in m.values.values()} == {Fraction}
+
+
+@pytest.mark.parametrize("values", [
+    [1, "1", "1", True], ["1", 1, True, "1"], [True, 1, "1", 1]],
+    ids=["true-last", "true-after-string", "true-first"])
+def test_bimap_refuses_true_beside_one(values):
+    # True == 1, so true must not be read through an entry kept for 1
+    b1 = lattice.boolean_algebra(1)
+    with pytest.raises(ValueError, match="^rational must be a 'p/q' "
+                                         "string, got True$"):
+        bimap_from_json(_map_text(b1, values), b1)
+
+
+def test_bimap_reports_a_bad_string_after_repeated_good_ones():
+    l = lattice.boolean_algebra(2)
+    values = ["1/2", "0", "1/2", "0"] * 3 + ["1/2", "0", "1.0", "0"]
+    with pytest.raises(ValueError, match=r"^bad rational '1\.0'$"):
+        bimap_from_json(_map_text(l, values), l)
+
+
+_RATIONAL_TEXT = st.builds(
+    lambda f, k, sign, pad, plain: pad + sign + (
+        str(f.numerator) if plain and f.denominator == 1
+        else "%d/%d" % (f.numerator * k, f.denominator * k)),
+    st.fractions(min_value=0, max_value=1, max_denominator=6),
+    st.integers(1, 3), st.sampled_from(["", "+"]),
+    st.sampled_from(["", " ", "\t"]), st.booleans())
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_bimap_from_json_parses_as_parse_rat_does(mo2, data):
+    pool = data.draw(st.lists(_RATIONAL_TEXT | st.sampled_from([0, 1]),
+                              min_size=1, max_size=5))
+    values = data.draw(st.lists(st.sampled_from(pool), min_size=36,
+                                max_size=36))
+    keys = ["%s|%s" % p for p in mo2.pairs()]
+    order = data.draw(st.permutations(range(36)))
+    text = json.dumps({"lattice": "mo2.json",
+                       "values": {keys[i]: values[i] for i in order}})
+    assert bimap_from_json(text, mo2).values == {
+        p: parse_rat(v) for p, v in zip(mo2.pairs(), values)}
 
 
 def test_bimap_rejects_out_of_range(mo2):

@@ -73,6 +73,10 @@ def files(tmp_path_factory):
     (d / "booleans.json").write_text(json.dumps(
         {"lattice": "b1.json", "values": {"0|0": False, "0|1": False,
                                           "1|0": False, "1|1": True}}))
+    # JSON true equals 1 but is no rational, whatever 1 came before it
+    (d / "one-and-true.json").write_text(json.dumps(
+        {"lattice": "b1.json", "values": {"0|0": 1, "0|1": "1",
+                                          "1|0": 1, "1|1": True}}))
     # a value in exponent form stands for a 5001-digit denominator, and
     # one in decimal form is no "p/q" string either
     (d / "exponent.json").write_text(json.dumps(
@@ -268,6 +272,8 @@ def test_usage_error_exit_code(capsys):
     (["check-lattice", "nested.json"], None, 2),
     (["check-map", "--system", "s", "mo2.json", "nested.json"], None, 2),
     (["check-map", "--system", "s", "b1.json", "booleans.json"], None, 2),
+    (["check-map", "--system", "s", "b1.json", "one-and-true.json"], None,
+     2),
     (["check-map", "--system", "s", "b1.json", "exponent.json"], None, 2),
     (["check-map", "--system", "s", "b1.json", "decimal.json"], None, 2),
     (["construct", "--family", "gamma9", "--lattice", "mo2.json",
@@ -283,7 +289,8 @@ def test_usage_error_exit_code(capsys):
         "negative-vertices", "negative-cap", "non-utf8-check-lattice",
         "non-utf8-states", "non-utf8-property", "non-utf8-search",
         "nested-lattice", "nested-lattice-check-lattice", "nested-map",
-        "boolean-map-values", "exponent-map-value", "decimal-map-value",
+        "boolean-map-values", "one-and-true-map-values",
+        "exponent-map-value", "decimal-map-value",
         "exponent-params", "unknown-comp-key", "max-elements-zero",
         "max-elements-negative"])
 def test_bad_input_exit_codes(files, capsys, monkeypatch, argv, env, code):

@@ -314,6 +314,15 @@ def _shuffled_dict(l, seed):
     return d
 
 
+def _covers_dict(l, seed):
+    """l in the form the benchmark writes: shuffled elements and only the
+    covering pairs."""
+    d = _shuffled_dict(l, seed)
+    d["covers"] = [[a, b] for a, b in d.pop("leq") if not any(
+        l.leq(a, c) and l.leq(c, b) for c in l.elements if c not in (a, b))]
+    return d
+
+
 _B = boolean_algebra
 _DIFF_LATTICES = (
     [("2^%d" % n, _B(n).to_dict()) for n in range(1, 7)]
@@ -323,7 +332,9 @@ _DIFF_LATTICES = (
        ("2^5-shuffled", _shuffled_dict(_B(5), 1)),
        ("MO(5)-shuffled", _shuffled_dict(mo(5), 2)),
        ("HS3-shuffled", _shuffled_dict(
-           horizontal_sum([_B(3), _B(2), _B(2)]), 3))]
+           horizontal_sum([_B(3), _B(2), _B(2)]), 3)),
+       ("2^6-covers-shuffled", _covers_dict(_B(6), 4)),
+       ("MO(8)-covers-shuffled", _covers_dict(mo(8), 5))]
     + [(name, pasting_candidate(bl)) for name, bl in
        (("two", TWO), ("chain", CHAIN), ("pentagon", PENTAGON),
         ("triangle", TRIANGLE), ("square", SQUARE))])
